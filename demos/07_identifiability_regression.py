@@ -10,8 +10,6 @@ descriptions are locally one-to-one.
 Runs the full data track; expect several minutes.
 """
 
-import numpy as np
-
 from genident.dmaps import (
     dmaps,
     local_linear_residuals,
@@ -20,9 +18,7 @@ from genident.dmaps import (
     select_nonharmonic,
 )
 from genident.ensemble import EnsembleSpec, run_ensemble, sample_ensemble
-from genident.generator import PARAM_NAMES
-from genident.harmonics import GHModel, gh_fit, gh_predict, jacobian_report
-from genident.pipeline import Config, _split
+from genident.pipeline import Config, fit_gh_track, square_ift_reports
 
 cfg = Config()
 params = sample_ensemble(EnsembleSpec(n_samples=cfg.n_samples, seed=cfg.seed))
@@ -35,30 +31,15 @@ rep = local_linear_residuals(emb, cfg.residual_bandwidth_mult, max_k=cfg.residua
 sel = select_nonharmonic(rep)
 print(f"non-harmonic coordinates: {sel.indices}")
 
-coords = emb.eigenvectors[:, list(sel.indices)]
-p01 = rescale01(params)
-c01 = rescale01(coords)
-train, test = _split(params.shape[0], cfg.train_frac, cfg.split_seed)
-
-fwd = gh_fit(c01.rows[train], p01.rows[train], retain=cfg.gh_retain,
-             epsilon_mult=cfg.gh_epsilon_mult, target_names=PARAM_NAMES)
-pred = gh_predict(fwd, c01.rows[test])
-mae = {nm: float(np.mean(np.abs(pred[:, j] - p01.rows[test][:, j])))
-       for j, nm in enumerate(PARAM_NAMES)}
+track = fit_gh_track(params, emb.eigenvectors[:, list(sel.indices)], sel.indices, cfg)
+mae = track.forward_mae
 print("\ntest MAE per parameter (rescaled units), sorted:")
 for nm in sorted(mae, key=mae.get):
     print(f"  {nm:5s} {mae[nm]:.4f}")
 
-identifiable = sorted(mae, key=mae.get)[:len(sel.indices)]
+identifiable, rf, ri = square_ift_reports(track.forward, mae, track.params01, track.coords01,
+                                          track.train, track.test, cfg)
 print("\nidentifiable set by regression error:", sorted(identifiable))
-
-id_cols = [PARAM_NAMES.index(nm) for nm in identifiable]
-fwd_sq = GHModel(fwd.training_inputs, fwd.epsilon_star, fwd.eigenvalues,
-                 fwd.eigenvectors, fwd.coefficients[:, id_cols])
-inv_sq = gh_fit(p01.rows[train][:, id_cols], c01.rows[train],
-                retain=cfg.gh_retain, epsilon_mult=cfg.gh_epsilon_mult)
-rf = jacobian_report(fwd_sq, c01.rows[test])
-ri = jacobian_report(inv_sq, p01.rows[test][:, id_cols])
 print(f"\ncoords -> params: sign-consistent={rf.sign_consistent}, "
       f"min|det|={rf.min_abs:.2e}")
 print(f"params -> coords: sign-consistent={ri.sign_consistent}, "

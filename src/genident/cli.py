@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import ChainDivergenceError, DomainError, SolverError
 from .pipeline import (
+    PIPELINE_ORDER,
     Config,
     load_config,
     read_csv,
@@ -23,9 +24,7 @@ EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 EXIT_DISAGREEMENT = 4
 
-_STAGE_COMMANDS = ["simulate", "sample", "ensemble", "fim", "geodesic", "mbam",
-                   "reduced-compare", "dmaps", "residuals", "gh-fit", "ift",
-                   "compare", "pipeline"]
+_STAGE_COMMANDS = [*PIPELINE_ORDER, "pipeline"]
 
 
 def _build_parser() -> argparse.ArgumentParser:

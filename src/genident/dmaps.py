@@ -57,7 +57,7 @@ class Dataset:
         """Map rescaled rows back to raw units (constant columns restored)."""
         r = self.rows if rows01 is None else np.asarray(rows01, dtype=float)
         span = np.where(self.constant_columns, 0.0, self.col_max - self.col_min)
-        return self.col_min + r * span + np.where(self.constant_columns, 0.0, 0.0)
+        return self.col_min + r * span
 
     def apply(self, raw: np.ndarray) -> np.ndarray:
         """Rescale new raw rows with the stored column ranges."""
@@ -73,17 +73,6 @@ class DMapsEmbedding:
     eigenvalues: np.ndarray  # descending, lambda_0 = 1 first
     eigenvectors: np.ndarray  # (N, k), unit norm, sign-fixed
     epsilon: float
-    nonharmonic_indices: tuple[int, ...] = ()
-
-    def coordinates(self, indices=None) -> np.ndarray:
-        idx = self.nonharmonic_indices if indices is None else tuple(indices)
-        if not idx:
-            raise DomainError("no non-harmonic indices selected")
-        return self.eigenvectors[:, list(idx)]
-
-    def with_selection(self, indices) -> "DMapsEmbedding":
-        return DMapsEmbedding(self.eigenvalues, self.eigenvectors, self.epsilon,
-                              tuple(int(i) for i in indices))
 
 
 @dataclass(frozen=True)
@@ -160,6 +149,23 @@ def median_epsilon(data: Dataset | np.ndarray, multiplier: float = 1.0) -> float
     return multiplier * med
 
 
+def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenpairs of a symmetric matrix, in descending order.
+
+    Large matrices with few wanted pairs go to ARPACK, started from a fixed,
+    seeded vector so that reruns are byte-identical; the rest take a dense
+    subset solve.
+    """
+    n = A.shape[0]
+    if n > 3000 and k < n // 4:
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, which="LA", v0=v0)
+    else:
+        vals, vecs = scipy.linalg.eigh(A, subset_by_index=(n - k, n - 1))
+    order = np.argsort(vals)[::-1]
+    return vals[order], vecs[:, order]
+
+
 def dmaps(data: Dataset | np.ndarray, epsilon: float, k: int = 26) -> DMapsEmbedding:
     """Density-normalized diffusion-maps eigen-embedding.
 
@@ -193,13 +199,7 @@ def dmaps(data: Dataset | np.ndarray, epsilon: float, k: int = 26) -> DMapsEmbed
     A *= d_isqrt[None, :]  # now the symmetric conjugate of the stochastic operator
     A = 0.5 * (A + A.T)
 
-    if n > 3000 and k < n // 4:
-        vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, which="LA")
-    else:
-        vals, vecs = scipy.linalg.eigh(A, subset_by_index=(n - k, n - 1))
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = top_eigenpairs(A, k)
     if k >= 2 and 1.0 - vals[1] < _DISCONNECTED_GAP:
         raise SolverError("kernel graph is disconnected at this epsilon "
                           f"(1 - lambda_1 = {1.0 - vals[1]:.3e})")

@@ -28,7 +28,6 @@ from .generator import (
 )
 
 __all__ = [
-    "ModelMapPoint",
     "SensitivityMatrix",
     "FIMatrix",
     "InfoSpectrum",
@@ -50,13 +49,6 @@ SENSITIVITY_RTOL = 1e-9
 
 COORDS_LOG = "log-parameter"
 COORDS_BARE = "bare-parameter"
-
-
-@dataclass(frozen=True)
-class ModelMapPoint:
-    params: IndependentParams
-    flags: LimitFlags
-    output: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ rather than a separately coded equation set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -161,23 +161,28 @@ class BareParams:
         return react_ok and t_ok
 
 
+def _bare(H, D, dx1, dx2, dx3, dx4, xdpp, dTd, dTq, Tdpp, Tqpp) -> dict:
+    """Accumulate the increments into the bare parameters (scalars or arrays)."""
+    x_q2 = xdpp  # dx5 = 0, so x''_q == x''_d
+    x_d1 = x_q2 + dx4
+    x_q1 = x_d1 + dx3
+    x_q = x_q1 + dx2
+    x_d = x_q + dx1
+    return {
+        "H": H, "D": D,
+        "x_d": x_d, "x_q": x_q, "x_q1": x_q1, "x_d1": x_d1, "x_q2": x_q2, "x_d2": xdpp,
+        "T_d01": Tdpp + dTd, "T_d02": Tdpp,
+        "T_q01": Tqpp + dTq, "T_q02": Tqpp,
+    }
+
+
 def independent_to_bare(p: IndependentParams) -> BareParams:
     """Accumulate the increment parameters into the physical reactance chain.
 
     The result satisfies x_d >= x_q >= x'_q >= x'_d >= x''_q >= x''_d >= 0 and
     the time-constant orderings by construction.
     """
-    x_q2 = p.xdpp  # dx5 = 0, so x''_q == x''_d
-    x_d1 = x_q2 + p.dx4
-    x_q1 = x_d1 + p.dx3
-    x_q = x_q1 + p.dx2
-    x_d = x_q + p.dx1
-    return BareParams(
-        H=p.H, D=p.D,
-        x_d=x_d, x_q=x_q, x_q1=x_q1, x_d1=x_d1, x_q2=x_q2, x_d2=p.xdpp,
-        T_d01=p.Tdpp + p.dTd, T_d02=p.Tdpp,
-        T_q01=p.Tqpp + p.dTq, T_q02=p.Tqpp,
-    )
+    return BareParams(**_bare(*(getattr(p, n) for n in PARAM_NAMES)))
 
 
 def bare_to_independent(b: BareParams) -> IndependentParams:
@@ -305,20 +310,65 @@ DEFAULT_GRID = ObservationGrid()
 
 
 # ---------------------------------------------------------------------------
-# algebraic block
+# the model: stator algebra, EMF equations, parameter map
 # ---------------------------------------------------------------------------
 
-def _currents(delta, eq2, ed2, b: dict, c: Constants, iq_form: str):
-    """Stator algebra for array-valued inputs; returns (v_d, v_q, i_d, i_q, P_g)."""
+def _stator(delta, x: dict, b, c: Constants, flags: LimitFlags, iq_form: str):
+    """Stator algebra at rotor angle(s) ``delta``, for scalars or arrays.
+
+    ``x`` maps state names to values; e''_q and e''_d are read from it unless
+    their subtransient limit slaves them, in which case they are closed here.
+    Returns (v_d, v_q, i_d, i_q, P_g, eq2, ed2).
+    """
     v_d = c.V * np.sin(delta - c.vartheta)
     v_q = c.V * np.cos(delta - c.vartheta)
+    if flags.tdpp_zero:
+        # e''_q = e'_q - (x'_d - x''_d) i_d closed under i_d = (e''_q - v_q)/x''_d
+        eq2 = (b["x_d2"] * x["eq1"] + (b["x_d1"] - b["x_d2"]) * v_q) / b["x_d1"]
+    else:
+        eq2 = x["eq2"]
     i_d = (eq2 - v_q) / b["x_d2"]
     if iq_form == IQ_AS_PRINTED:
         i_q = (v_d - eq2) / b["x_q2"]
+        # printed i_q has no e''_d dependence, so the slaving is explicit
+        ed2 = x["ed1"] + (b["x_q1"] - b["x_q2"]) * i_q if flags.tqpp_zero else x["ed2"]
     else:
+        if flags.tqpp_zero:
+            # e''_d = e'_d + (x'_q - x''_q) i_q closed under i_q = (v_d - e''_d)/x''_q
+            ed2 = (b["x_q2"] * x["ed1"] + (b["x_q1"] - b["x_q2"]) * v_d) / b["x_q1"]
+        else:
+            ed2 = x["ed2"]
         i_q = (v_d - ed2) / b["x_q2"]
     P_g = v_d * i_d + v_q * i_q
-    return v_d, v_q, i_d, i_q, P_g
+    return v_d, v_q, i_d, i_q, P_g, eq2, ed2
+
+
+def _emf_rates(x: dict, alg, b, c: Constants, flags: LimitFlags) -> list:
+    """The four EMF equations, for the EMFs that stay differential under ``flags``.
+
+    ``alg`` is :func:`_stator`'s result at the same state; the rates come in
+    the order of ``flags.dynamic_states()``.
+    """
+    _, _, i_d, i_q, _, eq2, ed2 = alg
+    rates = [(-x["eq1"] - (b["x_d"] - b["x_d1"]) * i_d + c.v_f0) / b["T_d01"],
+             (-x["ed1"] + (b["x_q"] - b["x_q1"]) * i_q) / b["T_q01"]]
+    if not flags.tdpp_zero:
+        rates.append((-eq2 + x["eq1"] - (b["x_d1"] - b["x_d2"]) * i_d) / b["T_d02"])
+    if not flags.tqpp_zero:
+        rates.append((-ed2 + x["ed1"] + (b["x_q1"] - b["x_q2"]) * i_q) / b["T_q02"])
+    return rates
+
+
+def _bare_arrays(ps: np.ndarray, flags: LimitFlags) -> dict:
+    """Bare-parameter arrays for a (n_sets, 11) block, with limits substituted.
+
+    Flagged limits override the supplied values: D drops out, x_d is pinned to
+    x_q under dx1_zero; H, Tdpp, Tqpp disappear from the equations wherever
+    their limit flag is set.
+    """
+    H, D, dx1, *rest = ps.T
+    return _bare(H, np.zeros_like(D) if flags.d_zero else D,
+                 np.zeros_like(dx1) if flags.dx1_zero else dx1, *rest)
 
 
 def algebraic_eval(s: StateVector, b: BareParams, c: Constants = DEFAULT_CONSTANTS,
@@ -333,88 +383,45 @@ def algebraic_eval(s: StateVector, b: BareParams, c: Constants = DEFAULT_CONSTAN
         raise ZeroDivisionError("subtransient reactances must be nonzero")
     if b.x_d2 < 0 or b.x_q2 < 0:
         raise DomainError("subtransient reactances must be positive")
-    bd = {"x_d2": b.x_d2, "x_q2": b.x_q2}
-    v_d, v_q, i_d, i_q, P_g = _currents(s.delta, s.eq2, s.ed2, bd, c, iq_form)
+    v_d, v_q, i_d, i_q, P_g, _, _ = _stator(s.delta, vars(s), vars(b), c, LimitFlags(),
+                                            iq_form)
     return AlgebraicVars(float(v_d), float(v_q), float(i_d), float(i_q), float(P_g))
 
 
-# ---------------------------------------------------------------------------
-# vectorized model family
-# ---------------------------------------------------------------------------
-
-def _bare_arrays(ps: np.ndarray, flags: LimitFlags) -> dict:
-    """Bare-parameter arrays for a (n_sets, 11) block, with limits substituted.
-
-    Flagged limits override the supplied values: D drops out, x_d is pinned to
-    x_q under dx1_zero; H, Tdpp, Tqpp disappear from the equations wherever
-    their limit flag is set.
-    """
-    H, D, dx1, dx2, dx3, dx4, xdpp, dTd, dTq, Tdpp, Tqpp = ps.T
-    if flags.dx1_zero:
-        dx1 = np.zeros_like(dx1)
-    x_q2 = xdpp
-    x_d1 = x_q2 + dx4
-    x_q1 = x_d1 + dx3
-    x_q = x_q1 + dx2
-    x_d = x_q + dx1
-    return {
-        "H": H, "D": np.zeros_like(D) if flags.d_zero else D,
-        "x_d": x_d, "x_q": x_q, "x_q1": x_q1, "x_d1": x_d1,
-        "x_q2": x_q2, "x_d2": xdpp,
-        "T_d01": Tdpp + dTd, "T_d02": Tdpp,
-        "T_q01": Tqpp + dTq, "T_q02": Tqpp,
-    }
-
-
-def _full_rhs(t, y, b, n, c, iq_form):
+def _full_rhs(t, y, b, n, c, flags, iq_form):
     """Right-hand side of the sixth-order model, vectorized over n parameter sets."""
     s = y.reshape(n, 6)
-    delta, omega, eq1, ed1, eq2, ed2 = s.T
-    v_d, v_q, i_d, i_q, P_g = _currents(delta, eq2, ed2, b, c, iq_form)
+    x = dict(zip(STATE_NAMES, s.T))
+    alg = _stator(x["delta"], x, b, c, flags, iq_form)
     out = np.empty_like(s)
-    out[:, 0] = c.omega_b * (omega - c.omega_0)
-    acc = c.P_m - P_g
+    out[:, 0] = c.omega_b * (x["omega"] - c.omega_0)
+    acc = c.P_m - alg[4]
     if not np.all(b["D"] == 0):
-        acc = acc - b["D"] * (omega - c.omega_0)
+        acc = acc - b["D"] * (x["omega"] - c.omega_0)
     out[:, 1] = acc / b["H"]
-    out[:, 2] = (-eq1 - (b["x_d"] - b["x_d1"]) * i_d + c.v_f0) / b["T_d01"]
-    out[:, 3] = (-ed1 + (b["x_q"] - b["x_q1"]) * i_q) / b["T_q01"]
-    out[:, 4] = (-eq2 + eq1 - (b["x_d1"] - b["x_d2"]) * i_d) / b["T_d02"]
-    out[:, 5] = (-ed2 + ed1 + (b["x_q1"] - b["x_q2"]) * i_q) / b["T_q02"]
+    for j, rate in enumerate(_emf_rates(x, alg, b, c, flags), start=2):
+        out[:, j] = rate
     return out.ravel()
 
 
-def _slaved_eq2(eq1, v_q, b):
-    # e''_q = e'_q - (x'_d - x''_d) i_d closed under i_d = (e''_q - v_q)/x''_d
-    return (b["x_d2"] * eq1 + (b["x_d1"] - b["x_d2"]) * v_q) / b["x_d1"]
+class _InertiaLimitRHS:
+    """RHS of the EMF subsystem for h_zero models.
 
-
-def _slaved_ed2(ed1, v_d, b, iq_form: str):
-    if iq_form == IQ_AS_PRINTED:
-        # printed i_q has no e''_d dependence, so the slaving is explicit
-        return None  # computed from i_q afterwards
-    # e''_d = e'_d + (x'_q - x''_q) i_q closed under i_q = (v_d - e''_d)/x''_q
-    return (b["x_q2"] * ed1 + (b["x_q1"] - b["x_q2"]) * v_d) / b["x_q1"]
-
-
-def _reduced_algebra(delta, st: dict, b, c, flags: LimitFlags, iq_form: str):
-    """Currents and EMFs of an h_zero model at given rotor angle(s).
-
-    ``st`` holds the dynamic states; slaved EMFs are reconstructed in place.
-    Returns (v_d, v_q, i_d, i_q, P_g, eq2, ed2).
+    The rotor angle is algebraic: every call solves the power balance for it,
+    warm-started from the previous call's angle, which ``delta`` keeps.
     """
-    v_d = c.V * np.sin(delta - c.vartheta)
-    v_q = c.V * np.cos(delta - c.vartheta)
-    eq2 = _slaved_eq2(st["eq1"], v_q, b) if flags.tdpp_zero else st["eq2"]
-    i_d = (eq2 - v_q) / b["x_d2"]
-    if iq_form == IQ_AS_PRINTED:
-        i_q = (v_d - eq2) / b["x_q2"]
-        ed2 = st["ed1"] + (b["x_q1"] - b["x_q2"]) * i_q if flags.tqpp_zero else st["ed2"]
-    else:
-        ed2 = _slaved_ed2(st["ed1"], v_d, b, iq_form) if flags.tqpp_zero else st["ed2"]
-        i_q = (v_d - ed2) / b["x_q2"]
-    P_g = v_d * i_d + v_q * i_q
-    return v_d, v_q, i_d, i_q, P_g, eq2, ed2
+
+    def __init__(self, b, n, c, flags: LimitFlags, iq_form: str, delta=None):
+        self.b, self.n, self.c, self.flags, self.iq_form = b, n, c, flags, iq_form
+        self.names = flags.dynamic_states()
+        self.delta = delta
+
+    def __call__(self, t, y):
+        x = dict(zip(self.names, y.reshape(self.n, len(self.names)).T))
+        self.delta = solve_power_angle(x, self.b, self.c, self.flags, self.iq_form,
+                                       guess=self.delta)
+        alg = _stator(self.delta, x, self.b, self.c, self.flags, self.iq_form)
+        return np.column_stack(_emf_rates(x, alg, self.b, self.c, self.flags)).ravel()
 
 
 def solve_power_angle(st: dict, b, c: Constants, flags: LimitFlags, iq_form: str,
@@ -431,7 +438,7 @@ def solve_power_angle(st: dict, b, c: Constants, flags: LimitFlags, iq_form: str
     hi = np.full(shape, c.vartheta + math.pi / 2 - 1e-12)
 
     def residual(delta):
-        return _reduced_algebra(delta, st, b, c, flags, iq_form)[4] - c.P_m
+        return _stator(delta, st, b, c, flags, iq_form)[4] - c.P_m
 
     r_lo, r_hi = residual(lo), residual(hi)
     if np.any(r_lo * r_hi > 0):
@@ -472,57 +479,21 @@ def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlag
     algebraic and the derivative covers only the remaining EMF states (in the
     order given by ``flags.dynamic_states()``).  In both cases the returned
     residual dict reports the power-balance defect ``P_m - P_g`` (at the
-    solved angle once ``h_zero`` is set).
+    solved angle once ``h_zero`` is set).  The derivative is the right-hand
+    side that :func:`integrate_batch` integrates.
     """
-    ps = p.to_array()[None, :]
-    b = _bare_arrays(ps, flags)
-    arr = s.to_array() if isinstance(s, StateVector) else np.asarray(s, dtype=float)
-    if not flags.h_zero:
-        d = _full_rhs(0.0, np.asarray(arr, dtype=float), b, 1, c, iq_form)
-        _, _, _, _, P_g = _currents(arr[0], arr[4], arr[5], b, c, iq_form)
-        return d, {"power_balance": float(c.P_m - P_g[0])}
-    st = {"eq1": np.atleast_1d(arr[2]), "ed1": np.atleast_1d(arr[3]),
-          "eq2": np.atleast_1d(arr[4]), "ed2": np.atleast_1d(arr[5])}
-    delta = solve_power_angle(st, b, c, flags, iq_form, guess=[arr[0]] if arr[0] > 0 else None)
-    v_d, v_q, i_d, i_q, P_g, eq2, ed2 = _reduced_algebra(delta, st, b, c, flags, iq_form)
-    derivs = {
-        "eq1": (-st["eq1"] - (b["x_d"] - b["x_d1"]) * i_d + c.v_f0) / b["T_d01"],
-        "ed1": (-st["ed1"] + (b["x_q"] - b["x_q1"]) * i_q) / b["T_q01"],
-        "eq2": (-eq2 + st["eq1"] - (b["x_d1"] - b["x_d2"]) * i_d) / b["T_d02"],
-        "ed2": (-ed2 + st["ed1"] + (b["x_q1"] - b["x_q2"]) * i_q) / b["T_q02"],
-    }
-    active = flags.dynamic_states()
-    out = np.array([float(derivs[k][0]) for k in active])
-    return out, {"power_balance": float(c.P_m - P_g[0])}
-
-
-def _reduced_rhs_factory(b, n, c, flags: LimitFlags, iq_form: str, state_names):
-    """RHS of the EMF subsystem for h_zero models, with a warm-started angle solve."""
-    k = len(state_names)
-    warm = {"delta": None}
-
-    def f(t, y):
-        s = y.reshape(n, k)
-        st = {name: s[:, j] for j, name in enumerate(state_names)}
-        if "eq2" not in st:
-            st["eq2"] = None
-        if "ed2" not in st:
-            st["ed2"] = None
-        delta = solve_power_angle(st, b, c, flags, iq_form, guess=warm["delta"])
-        warm["delta"] = delta
-        v_d, v_q, i_d, i_q, P_g, eq2, ed2 = _reduced_algebra(delta, st, b, c, flags, iq_form)
-        out = np.empty_like(s)
-        out[:, 0] = (-st["eq1"] - (b["x_d"] - b["x_d1"]) * i_d + c.v_f0) / b["T_d01"]
-        out[:, 1] = (-st["ed1"] + (b["x_q"] - b["x_q1"]) * i_q) / b["T_q01"]
-        j = 2
-        if "eq2" in state_names:
-            out[:, j] = (-eq2 + st["eq1"] - (b["x_d1"] - b["x_d2"]) * i_d) / b["T_d02"]
-            j += 1
-        if "ed2" in state_names:
-            out[:, j] = (-ed2 + st["ed1"] + (b["x_q1"] - b["x_q2"]) * i_q) / b["T_q02"]
-        return out.ravel()
-
-    return f
+    b = _bare_arrays(p.to_array()[None, :], flags)
+    arr = np.asarray(s.to_array() if isinstance(s, StateVector) else s, dtype=float)
+    x = {name: arr[i:i + 1] for i, name in enumerate(STATE_NAMES)}
+    if flags.h_zero:
+        f = _InertiaLimitRHS(b, 1, c, flags, iq_form, delta=arr[:1] if arr[0] > 0 else None)
+        d = f(0.0, np.concatenate([x[name] for name in f.names]))
+        delta = f.delta
+    else:
+        d = _full_rhs(0.0, arr, b, 1, c, flags, iq_form)
+        delta = x["delta"]
+    P_g = _stator(delta, x, b, c, flags, iq_form)[4]
+    return d, {"power_balance": float(c.P_m - P_g[0])}
 
 
 @dataclass(frozen=True)
@@ -551,31 +522,6 @@ class Trajectory:
 
     def state_at(self, t: float) -> StateVector:
         return StateVector.from_array(self.at([t])[0, 0])
-
-
-# five-point centered first-derivative stencil, fourth order
-_D1_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-
-
-def _fd_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Fourth-order first derivative on a uniform grid (one-sided at the edges)."""
-    v = np.asarray(values, dtype=float)
-    n = v.shape[-1]
-    if n < 5:
-        raise DomainError("need at least 5 grid points for the 5-point stencil")
-    d = np.empty_like(v)
-    d[..., 2:-2] = (v[..., :-4] - 8 * v[..., 1:-3] + 8 * v[..., 3:-1] - v[..., 4:]) / (12 * dt)
-    # fourth-order one-sided stencils at the boundary rows
-    c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    d[..., 0] = v[..., :5] @ c0 / dt
-    d[..., 1] = v[..., :5] @ c1 / dt
-    d[..., -1] = v[..., -5:] @ -c0[::-1] / dt
-    d[..., -2] = v[..., -5:] @ -c1[::-1] / dt
-    return d
-
-
-_FINE_DT = 1e-3  # grid used to differentiate the algebraic rotor angle
 
 
 def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
@@ -614,7 +560,7 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         sol = solve_ivp(_full_rhs, (t_start, t_end), y0, method="RK45",
                         rtol=rtol, atol=atol, dense_output=True,
                         first_step=first_step, max_step=max_step,
-                        args=(b, n, c, iq_form))
+                        args=(b, n, c, flags, iq_form))
         if sol.status != 0:
             raise SolverError(f"integration failed: {sol.message}")
 
@@ -625,46 +571,46 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         return Trajectory(sol.t.copy(), first, (t_start, t_end), n, evaluator)
 
     # --- inertia-limit family: EMF states integrate, rotor angle is algebraic
-    state_names = flags.dynamic_states()
-    idx = [STATE_NAMES.index(nm) for nm in state_names]
-    y0 = np.tile(x0[idx], n)
-    f = _reduced_rhs_factory(b, n, c, flags, iq_form, state_names)
+    f = _InertiaLimitRHS(b, n, c, flags, iq_form)
+    names = f.names
+    y0 = np.tile(x0[[STATE_NAMES.index(nm) for nm in names]], n)
     sol = solve_ivp(f, (t_start, t_end), y0, method="RK45", rtol=rtol, atol=atol,
                     dense_output=True, first_step=first_step, max_step=max_step)
     if sol.status != 0:
         raise SolverError(f"integration failed: {sol.message}")
 
-    k = len(state_names)
     b2 = {key: np.asarray(val)[:, None] for key, val in b.items()}  # broadcast over time
 
-    def angle_and_emfs(t):
-        """Solve the angle at all times at once; returns (n, m) arrays."""
-        s = sol.sol(t).reshape(n, k, len(t))
-        st = {name: s[:, i, :] for i, name in enumerate(state_names)}
-        delta = solve_power_angle(st, b2, c, flags, iq_form)
-        _, _, _, _, _, eq2, ed2 = _reduced_algebra(delta, st, b2, c, flags, iq_form)
-        return st, delta, eq2, ed2
+    def slaved(t):
+        """Angle, stator algebra and angle rate at all times at once; (n, m) arrays.
 
-    # rotor speed comes from differentiating the solved angle path on a fixed
-    # fine grid; the offset anchors omega to its supplied initial value
-    n_fine = int(math.ceil((t_end - t_start) / _FINE_DT)) + 1
-    t_fine = np.linspace(t_start, t_end, n_fine)
-    _, delta_fine, _, _ = angle_and_emfs(t_fine)
-    ddelta_fine = _fd_derivative(delta_fine, t_fine[1] - t_fine[0])
-    omega_offset = ics.omega - ddelta_fine[:, 0] / c.omega_b  # (n,)
+        The rate is the implicit-function derivative of P_g(delta, x) = P_m,
+        d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta)), with dx/dt from the
+        EMF equations and both partials taken by complex step.
+        """
+        s = sol.sol(t).reshape(n, len(names), len(t))
+        x = dict(zip(names, s.transpose(1, 0, 2)))
+        delta = solve_power_angle(x, b2, c, flags, iq_form)
+        alg = _stator(delta, x, b2, c, flags, iq_form)
+        h = 1e-30
+        moved = {nm: x[nm] + 1j * h * r
+                 for nm, r in zip(names, _emf_rates(x, alg, b2, c, flags))}
+        dP_x = _stator(delta, moved, b2, c, flags, iq_form)[4].imag / h
+        dP_delta = _stator(delta + 1j * h, x, b2, c, flags, iq_form)[4].imag / h
+        return x, delta, alg, -dP_x / dP_delta
+
+    # rotor speed follows the angle's rate, anchored to its supplied initial value
+    ddelta0 = slaved(np.array([t_start]))[3]  # (n, 1)
 
     def evaluator(t):
-        st, delta, eq2, ed2 = angle_and_emfs(t)
+        x, delta, alg, ddelta = slaved(t)
         full = np.empty((n, len(t), 6))
         full[:, :, 0] = delta
-        ddelta = np.empty((n, len(t)))
-        for i in range(n):
-            ddelta[i] = np.interp(t, t_fine, ddelta_fine[i])
-        full[:, :, 1] = omega_offset[:, None] + ddelta / c.omega_b
-        full[:, :, 2] = st["eq1"]
-        full[:, :, 3] = st["ed1"]
-        full[:, :, 4] = eq2
-        full[:, :, 5] = ed2
+        full[:, :, 1] = ics.omega + (ddelta - ddelta0) / c.omega_b
+        full[:, :, 2] = x["eq1"]
+        full[:, :, 3] = x["ed1"]
+        full[:, :, 4] = alg[5]
+        full[:, :, 5] = alg[6]
         return full
 
     first = evaluator(sol.t)[0]

@@ -80,10 +80,6 @@ class GeodesicTrace:
         if len(self.taus) > 1 and not np.all(np.diff(self.taus) > 0):
             raise DomainError("geodesic trace times must be strictly increasing")
 
-    @property
-    def states(self) -> list[GeodesicState]:
-        return [GeodesicState(t, v) for t, v in zip(self.thetas, self.velocities)]
-
     def speed_norms(self) -> np.ndarray:
         return np.linalg.norm(self.velocities, axis=1)
 

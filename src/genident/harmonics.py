@@ -12,10 +12,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
-from .dmaps import median_epsilon, pairwise_sq_dists
+from .dmaps import median_epsilon, pairwise_sq_dists, top_eigenpairs
 from .errors import DomainError
 
 __all__ = [
@@ -92,14 +90,7 @@ def gh_fit(inputs: np.ndarray, targets: np.ndarray, epsilon_star: float | None =
         raise DomainError("epsilon_star must be positive")
 
     W = np.exp(pairwise_sq_dists(X) / (-2.0 * epsilon_star))
-    k = min(retain, n)
-    if n > 3000 and k < n // 4:
-        vals, vecs = scipy.sparse.linalg.eigsh(W, k=k, which="LA")
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        vals, vecs = scipy.linalg.eigh(W, subset_by_index=(n - k, n - 1))
-        vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
+    vals, vecs = top_eigenpairs(W, min(retain, n))
     keep = vals > delta * vals[0]
     if not np.all(keep):
         warnings.warn(f"dropped {int((~keep).sum())} eigenpair(s) below the "

@@ -22,6 +22,7 @@ import scipy
 from . import __version__
 from .dmaps import (
     DEFAULT_RESIDUAL_BANDWIDTH_MULT,
+    Dataset,
     dmaps,
     local_linear_residuals,
     median_epsilon,
@@ -41,9 +42,10 @@ from .generator import (
     integrate,
 )
 from .geodesics import mbam_chain, mbam_step
-from .harmonics import gh_fit, gh_predict, jacobian_report
+from .harmonics import GHModel, JacobianReport, gh_fit, gh_predict, jacobian_report
 
-__all__ = ["Config", "Stage", "load_config", "run_stage", "STAGES", "write_csv"]
+__all__ = ["Config", "Stage", "load_config", "run_stage", "STAGES", "write_csv",
+           "GHTrack", "fit_gh_track", "square_ift_reports"]
 
 
 @dataclass(frozen=True)
@@ -420,8 +422,7 @@ def _gh_model_json(model, selected, train_idx, test_idx) -> dict:
     }
 
 
-def gh_model_from_json(obj) -> "object":
-    from .harmonics import GHModel
+def gh_model_from_json(obj) -> GHModel:
     scaling = obj.get("output_scaling")
     return GHModel(
         np.asarray(obj["training_inputs"], dtype=float),
@@ -436,22 +437,32 @@ def gh_model_from_json(obj) -> "object":
     )
 
 
-def stage_gh(cfg: Config, out_dir: str):
-    """Fit both regression directions and report per-parameter test errors."""
-    st = Stage(out_dir, "gh-fit", cfg)
-    _, params = read_csv(os.path.join(out_dir, "ensemble_params.csv"))
-    _, rows = read_csv(os.path.join(out_dir, "ensemble_rows.csv"))
-    params = params[rows[:, 0].astype(int)]
-    sel = read_json(os.path.join(out_dir, "residuals.json"))["selected"]
-    _, emb_data = read_csv(os.path.join(out_dir, "embedding.csv"))
-    phi = emb_data[:, 1:]  # phi_1..phi_{k-1}
-    coords = phi[:, [k - 1 for k in sel]]
+@dataclass(frozen=True)
+class GHTrack:
+    """Both geometric-harmonics regressions on one train/test split."""
 
+    forward: GHModel  # coordinates -> all parameters
+    inverse: GHModel  # all parameters -> coordinates
+    params01: Dataset
+    coords01: Dataset
+    train: np.ndarray
+    test: np.ndarray
+    predictions: np.ndarray  # forward predictions on the test rows
+    forward_mae: dict[str, float]
+    inverse_mae: dict[str, float]
+
+
+def fit_gh_track(params: np.ndarray, coords: np.ndarray, selected, cfg: Config) -> GHTrack:
+    """Fit coordinates -> parameters and back on the configured split.
+
+    ``coords`` holds the diffusion coordinates listed in ``selected``.  Both
+    sides are rescaled to [0, 1] first; the test-set mean absolute errors come
+    back per parameter and per coordinate.
+    """
     p_ds = rescale01(params)
     c_ds = rescale01(coords)
-    n = params.shape[0]
-    train, test = _split(n, cfg.train_frac, cfg.split_seed)
-
+    train, test = _split(params.shape[0], cfg.train_frac, cfg.split_seed)
+    coord_names = [f"phi_{k}" for k in selected]
     fwd = gh_fit(c_ds.rows[train], p_ds.rows[train], retain=cfg.gh_retain,
                  delta=cfg.gh_delta, epsilon_mult=cfg.gh_epsilon_mult,
                  output_scaling=(p_ds.col_min, p_ds.col_max),
@@ -459,57 +470,76 @@ def stage_gh(cfg: Config, out_dir: str):
     inv = gh_fit(p_ds.rows[train], c_ds.rows[train], retain=cfg.gh_retain,
                  delta=cfg.gh_delta, epsilon_mult=cfg.gh_epsilon_mult,
                  output_scaling=(c_ds.col_min, c_ds.col_max),
-                 target_names=[f"phi_{k}" for k in sel])
+                 target_names=coord_names)
     pred = gh_predict(fwd, c_ds.rows[test])
     mae = {nm: float(np.mean(np.abs(pred[:, j] - p_ds.rows[test][:, j])))
            for j, nm in enumerate(PARAM_NAMES)}
     pred_inv = gh_predict(inv, p_ds.rows[test])
-    mae_inv = {f"phi_{k}": float(np.mean(np.abs(pred_inv[:, j] - c_ds.rows[test][:, j])))
-               for j, k in enumerate(sel)}
-    write_json(st.path("gh_forward.json"), _gh_model_json(fwd, sel, train, test))
-    write_json(st.path("gh_inverse.json"), _gh_model_json(inv, sel, train, test))
-    write_json(st.path("gh_mae.json"), {"forward_mae": mae, "inverse_mae": mae_inv})
+    mae_inv = {nm: float(np.mean(np.abs(pred_inv[:, j] - c_ds.rows[test][:, j])))
+               for j, nm in enumerate(coord_names)}
+    return GHTrack(fwd, inv, p_ds, c_ds, train, test, pred, mae, mae_inv)
+
+
+def square_ift_reports(forward: GHModel, forward_mae: dict, params01: Dataset,
+                       coords01: Dataset, train: np.ndarray, test: np.ndarray,
+                       cfg: Config) -> tuple[list[str], JacobianReport, JacobianReport]:
+    """Jacobian-determinant (local bijectivity) reports of the two square maps.
+
+    The identifiable parameters are the d with the smallest forward test
+    error, d being the number of coordinates.  Coordinates -> those
+    parameters keeps their columns of the forward model; those parameters ->
+    coordinates is fitted afresh on the training rows.  Both are checked on
+    the test rows.
+    """
+    d = forward.training_inputs.shape[1]
+    identifiable = sorted(forward_mae, key=forward_mae.get)[:d]
+    id_cols = [PARAM_NAMES.index(nm) for nm in identifiable]
+    fwd_sq = GHModel(forward.training_inputs, forward.epsilon_star, forward.eigenvalues,
+                     forward.eigenvectors, forward.coefficients[:, id_cols],
+                     target_names=tuple(identifiable))
+    inv_sq = gh_fit(params01.rows[train][:, id_cols], coords01.rows[train],
+                    retain=cfg.gh_retain, delta=cfg.gh_delta,
+                    epsilon_mult=cfg.gh_epsilon_mult)
+    return (identifiable, jacobian_report(fwd_sq, coords01.rows[test]),
+            jacobian_report(inv_sq, params01.rows[test][:, id_cols]))
+
+
+def _selected_data(out_dir: str, selected) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble's kept parameter rows and the selected diffusion coordinates."""
+    _, params = read_csv(os.path.join(out_dir, "ensemble_params.csv"))
+    _, rows = read_csv(os.path.join(out_dir, "ensemble_rows.csv"))
+    _, emb_data = read_csv(os.path.join(out_dir, "embedding.csv"))  # sample id, phi_1, ...
+    return params[rows[:, 0].astype(int)], emb_data[:, list(selected)]
+
+
+def stage_gh(cfg: Config, out_dir: str):
+    """Fit both regression directions and report per-parameter test errors."""
+    st = Stage(out_dir, "gh-fit", cfg)
+    sel = read_json(os.path.join(out_dir, "residuals.json"))["selected"]
+    track = fit_gh_track(*_selected_data(out_dir, sel), sel, cfg)
+    write_json(st.path("gh_forward.json"),
+               _gh_model_json(track.forward, sel, track.train, track.test))
+    write_json(st.path("gh_inverse.json"),
+               _gh_model_json(track.inverse, sel, track.train, track.test))
+    write_json(st.path("gh_mae.json"), {"forward_mae": track.forward_mae,
+                                        "inverse_mae": track.inverse_mae})
     write_csv(st.path("gh_test_predictions.csv"),
               [f"pred_{nm}" for nm in PARAM_NAMES] + [f"true_{nm}" for nm in PARAM_NAMES],
-              np.column_stack([pred, p_ds.rows[test]]))
+              np.column_stack([track.predictions, track.params01.rows[track.test]]))
     st.finish()
-    return mae
+    return track.forward_mae
 
 
 def stage_ift(cfg: Config, out_dir: str):
     """Jacobian-determinant (local bijectivity) checks in both directions."""
     st = Stage(out_dir, "ift", cfg)
     fwd_obj = read_json(os.path.join(out_dir, "gh_forward.json"))
-    inv_obj = read_json(os.path.join(out_dir, "gh_inverse.json"))
     mae = read_json(os.path.join(out_dir, "gh_mae.json"))["forward_mae"]
-    sel = fwd_obj["selected_coordinates"]
-    d = len(sel)
-    identifiable = sorted(mae, key=lambda nm: mae[nm])[:d]
-    id_cols = [PARAM_NAMES.index(nm) for nm in identifiable]
-
-    fwd = gh_model_from_json(fwd_obj)
-    inv = gh_model_from_json(inv_obj)
-    _, params = read_csv(os.path.join(out_dir, "ensemble_params.csv"))
-    _, rows = read_csv(os.path.join(out_dir, "ensemble_rows.csv"))
-    params = params[rows[:, 0].astype(int)]
-    _, emb_data = read_csv(os.path.join(out_dir, "embedding.csv"))
-    coords = emb_data[:, 1:][:, [k - 1 for k in sel]]
-    test = np.asarray(fwd_obj["test_rows"], dtype=int)
-
-    # square submodels: phi -> identifiable p, and identifiable p -> phi
-    p_ds = rescale01(params)
-    c_ds = rescale01(coords)
-    train = np.asarray(fwd_obj["train_rows"], dtype=int)
-    from .harmonics import GHModel
-    fwd_sq = GHModel(fwd.training_inputs, fwd.epsilon_star, fwd.eigenvalues,
-                     fwd.eigenvectors, fwd.coefficients[:, id_cols],
-                     target_names=tuple(identifiable))
-    inv_sq = gh_fit(p_ds.rows[train][:, id_cols], c_ds.rows[train],
-                    retain=cfg.gh_retain, delta=cfg.gh_delta,
-                    epsilon_mult=cfg.gh_epsilon_mult,
-                    target_names=[f"phi_{k}" for k in sel])
-    rep_fwd = jacobian_report(fwd_sq, c_ds.rows[test])
-    rep_inv = jacobian_report(inv_sq, p_ds.rows[test][:, id_cols])
+    params, coords = _selected_data(out_dir, fwd_obj["selected_coordinates"])
+    identifiable, rep_fwd, rep_inv = square_ift_reports(
+        gh_model_from_json(fwd_obj), mae, rescale01(params), rescale01(coords),
+        np.asarray(fwd_obj["train_rows"], dtype=int),
+        np.asarray(fwd_obj["test_rows"], dtype=int), cfg)
     out = {
         "identifiable_parameters": identifiable,
         "forward": {"sign_consistent": rep_fwd.sign_consistent,
@@ -561,8 +591,7 @@ STAGES = {
     "compare": stage_compare,
 }
 
-PIPELINE_ORDER = ["simulate", "sample", "ensemble", "fim", "geodesic", "mbam",
-                  "reduced-compare", "dmaps", "residuals", "gh-fit", "ift", "compare"]
+PIPELINE_ORDER = list(STAGES)
 
 
 def run_stage(name: str, cfg: Config, out_dir: str):

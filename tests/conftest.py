@@ -1,7 +1,6 @@
 import os
 import sys
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -90,51 +89,20 @@ def full_model_geodesic(mbam_chain_result, nominal_spectrum):
 
 
 @pytest.fixture(scope="session")
-def ift_reports(ensemble_2000, dmaps_track, gh_track):
-    """Jacobian-determinant reports for the two square regression maps."""
-    from genident.harmonics import GHModel, gh_fit, jacobian_report
-    from genident.generator import PARAM_NAMES
-    from genident.pipeline import Config
-    cfg = Config()
-    fwd = gh_track["forward"]
-    mae = gh_track["mae"]
-    d = len(gh_track["selection"])
-    identifiable = sorted(mae, key=lambda nm: mae[nm])[:d]
-    id_cols = [PARAM_NAMES.index(nm) for nm in identifiable]
-    p01 = gh_track["p01"]
-    c01 = gh_track["c01"]
-    train, test = gh_track["train"], gh_track["test"]
-    fwd_sq = GHModel(fwd.training_inputs, fwd.epsilon_star, fwd.eigenvalues,
-                     fwd.eigenvectors, fwd.coefficients[:, id_cols],
-                     target_names=tuple(identifiable))
-    inv_sq = gh_fit(p01.rows[train][:, id_cols], c01.rows[train],
-                    retain=cfg.gh_retain, delta=cfg.gh_delta,
-                    epsilon_mult=cfg.gh_epsilon_mult)
-    return (jacobian_report(fwd_sq, c01.rows[test]),
-            jacobian_report(inv_sq, p01.rows[test][:, id_cols]))
-
-
-@pytest.fixture(scope="session")
 def gh_track(ensemble_2000, dmaps_track):
     """Both geometric-harmonics regressions plus test-set errors."""
-    from genident.dmaps import rescale01
-    from genident.harmonics import gh_fit, gh_predict
-    from genident.pipeline import Config, _split
-    from genident.generator import PARAM_NAMES
-    cfg = Config()
+    from genident.pipeline import Config, fit_gh_track
     params, _ = ensemble_2000
     sel = dmaps_track["selection"].indices
     coords = dmaps_track["embedding"].eigenvectors[:, list(sel)]
-    p_ds = rescale01(params)
-    c_ds = rescale01(coords)
-    train, test = _split(params.shape[0], cfg.train_frac, cfg.split_seed)
-    fwd = gh_fit(c_ds.rows[train], p_ds.rows[train], retain=cfg.gh_retain,
-                 delta=cfg.gh_delta, epsilon_mult=cfg.gh_epsilon_mult,
-                 target_names=PARAM_NAMES)
-    inv = gh_fit(p_ds.rows[train], c_ds.rows[train], retain=cfg.gh_retain,
-                 delta=cfg.gh_delta, epsilon_mult=cfg.gh_epsilon_mult)
-    pred = gh_predict(fwd, c_ds.rows[test])
-    mae = {nm: float(np.mean(np.abs(pred[:, j] - p_ds.rows[test][:, j])))
-           for j, nm in enumerate(PARAM_NAMES)}
-    return {"forward": fwd, "inverse": inv, "mae": mae, "train": train,
-            "test": test, "p01": p_ds, "c01": c_ds, "selection": sel}
+    return fit_gh_track(params, coords, sel, Config())
+
+
+@pytest.fixture(scope="session")
+def ift_reports(gh_track):
+    """Jacobian-determinant reports for the two square regression maps."""
+    from genident.pipeline import Config, square_ift_reports
+    t = gh_track
+    _, fwd, inv = square_ift_reports(t.forward, t.forward_mae, t.params01, t.coords01,
+                                     t.train, t.test, Config())
+    return fwd, inv

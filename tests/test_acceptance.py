@@ -112,7 +112,7 @@ class TestCriterion7DmapsDimensionality:
 
 class TestCriterion8GhSeparation:
     def test_identifiable_errors_small_rest_large(self, gh_track):
-        mae = gh_track["mae"]
+        mae = gh_track.forward_mae
         worst_id = max(mae[nm] for nm in IDENTIFIABLE)
         best_un = min(mae[nm] for nm in UNIDENTIFIABLE)
         sep = best_un / worst_id
@@ -159,7 +159,7 @@ class TestCriterion10PropertySuite:
         checks["row_stochastic"] = bool(np.abs(K.sum(axis=1) - 1.0).max() < 1e-10)
 
         # Nystrom consistency on training points
-        fwd = gh_track["forward"]
+        fwd = gh_track.forward
         train_inputs = fwd.training_inputs
         pred = gh_predict(fwd, train_inputs)
         checks["nystrom_consistency"] = bool(

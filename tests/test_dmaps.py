@@ -126,6 +126,19 @@ class TestDmaps:
         with pytest.raises(SolverError, match="disconnected"):
             dmaps(X, 1e-3, k=4)
 
+    def test_eigsh_path_reruns_are_byte_identical(self):
+        # above 3000 rows dmaps and gh_fit hand the eigenproblem to ARPACK
+        from genident.harmonics import gh_fit
+        x = np.random.default_rng(5).uniform(0, 1, (3100, 3))
+        eps = median_epsilon(x)
+        a, b = dmaps(x, eps, k=10), dmaps(x, eps, k=10)
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+        y = np.sin(3 * x)
+        g, h = gh_fit(x, y, retain=20), gh_fit(x, y, retain=20)
+        assert g.eigenvalues.tobytes() == h.eigenvalues.tobytes()
+        assert g.coefficients.tobytes() == h.coefficients.tobytes()
+
     def test_epsilon_and_k_preconditions(self):
         X = np.random.default_rng(8).uniform(0, 1, (20, 2))
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ from genident.errors import DomainError
 from genident.generator import (
     DEFAULT_CONSTANTS,
     IQ_AS_PRINTED,
+    IQ_STANDARD,
     PARAM_NAMES,
     STATE_NAMES,
     BareParams,
@@ -250,6 +251,25 @@ class TestReducedModel:
         for row in states:
             out = algebraic_eval(StateVector.from_array(row), b)
             assert out.P_g == pytest.approx(0.7, abs=1e-9)
+
+    @pytest.mark.parametrize("flags", [LimitFlags.first(2), LimitFlags.all()],
+                             ids=["first2", "all"])
+    @pytest.mark.parametrize("iq_form", [IQ_STANDARD, IQ_AS_PRINTED])
+    def test_speed_is_the_rate_of_the_solved_angle(self, flags, iq_form):
+        traj = integrate(NOM, flags, iq_form=iq_form)
+        assert traj.at([0.0])[0, 0, 1] == StateVector().omega
+        t = np.linspace(0.1, 4.9, 25)
+        h = 1e-4
+        omega = traj.at(t)[0, :, 1]
+        rate = (traj.at(t + h)[0, :, 0] - traj.at(t - h)[0, :, 0]) / (2 * h)
+        np.testing.assert_allclose(omega - omega[0],
+                                   (rate - rate[0]) / DEFAULT_CONSTANTS.omega_b,
+                                   rtol=0, atol=1e-7)
+
+    def test_rhs_covers_the_emf_states_at_power_balance(self):
+        d, res = rhs(StateVector(), NOM, LimitFlags.first(2))
+        assert d.shape == (4,)
+        assert abs(res["power_balance"]) < 1e-12
 
     def test_full_vs_reduced_fidelity(self, nominal_trajectory):
         ics = nominal_trajectory.state_at(3.0)
