@@ -13,15 +13,8 @@ leave-one-out residuals grind through every eigenvector.
 
 import numpy as np
 
-from genident.dmaps import (
-    dmaps,
-    local_linear_residuals,
-    median_epsilon,
-    rescale01,
-    select_nonharmonic,
-)
 from genident.ensemble import EnsembleSpec, run_ensemble, sample_ensemble
-from genident.pipeline import Config
+from genident.pipeline import Config, embed_outputs, select_coordinates
 from genident.svgplot import line_plot
 
 cfg = Config()
@@ -32,15 +25,11 @@ run = run_ensemble(params, workers=cfg.workers)
 print(f"simulated {run.outputs.shape[0]} members, "
       f"{run.outputs.shape[1]} observations each")
 
-ds = rescale01(run.outputs)
-eps = median_epsilon(ds, cfg.dmaps_epsilon_mult)
-print(f"kernel scale epsilon = {eps:.1f} "
+emb = embed_outputs(run.outputs, cfg)
+print(f"kernel scale epsilon = {emb.epsilon:.1f} "
       f"({cfg.dmaps_epsilon_mult} x median squared pairwise distance)")
 
-emb = dmaps(ds, eps, k=cfg.dmaps_k)
-rep = local_linear_residuals(emb, cfg.residual_bandwidth_mult,
-                             max_k=cfg.residual_max_k)
-sel = select_nonharmonic(rep)
+rep, sel = select_coordinates(emb, cfg)
 
 print("\nresiduals r_k (large = genuinely new coordinate):")
 for k, r in zip(rep.indices, rep.residuals):

@@ -10,25 +10,17 @@ descriptions are locally one-to-one.
 Runs the full data track; expect several minutes.
 """
 
-from genident.dmaps import (
-    dmaps,
-    local_linear_residuals,
-    median_epsilon,
-    rescale01,
-    select_nonharmonic,
-)
 from genident.ensemble import EnsembleSpec, run_ensemble, sample_ensemble
-from genident.pipeline import Config, fit_gh_track, square_ift_reports
+from genident.pipeline import (Config, embed_outputs, fit_gh_track, select_coordinates,
+                               square_ift_reports)
 
 cfg = Config()
 params = sample_ensemble(EnsembleSpec(n_samples=cfg.n_samples, seed=cfg.seed))
 run = run_ensemble(params, workers=cfg.workers)
 params = params[run.row_indices]
 
-ds = rescale01(run.outputs)
-emb = dmaps(ds, median_epsilon(ds, cfg.dmaps_epsilon_mult), k=cfg.dmaps_k)
-rep = local_linear_residuals(emb, cfg.residual_bandwidth_mult, max_k=cfg.residual_max_k)
-sel = select_nonharmonic(rep)
+emb = embed_outputs(run.outputs, cfg)
+_, sel = select_coordinates(emb, cfg)
 print(f"non-harmonic coordinates: {sel.indices}")
 
 track = fit_gh_track(params, emb.eigenvectors[:, list(sel.indices)], sel.indices, cfg)

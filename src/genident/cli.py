@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -65,7 +66,7 @@ def _config_from_args(args) -> Config:
         overrides["svg"] = True
     cfg = load_config(args.config, **overrides)
     if args.paper_scale:
-        cfg = Config(**{**cfg.__dict__, "n_samples": cfg.paper_scale_samples})
+        cfg = dataclasses.replace(cfg, n_samples=cfg.paper_scale_samples)
     return cfg
 
 
@@ -92,13 +93,11 @@ def main(argv=None) -> int:
         if args.command == "gh-eval":
             return _cmd_gh_eval(args, cfg)
         result = run_stage(args.command, cfg, args.out)
-        if args.command == "compare" or args.command == "pipeline":
-            report = result if args.command == "compare" else None
-            if report is not None:
-                print(f"fim dim {report.fim_effective_dim} vs dmaps dim "
-                      f"{report.dmaps_dim}; agreement: {report.agreement}")
-                if getattr(args, "strict", False) and not report.agreement:
-                    return EXIT_DISAGREEMENT
+        if args.command == "compare":
+            print(f"fim dim {result.fim_effective_dim} vs dmaps dim "
+                  f"{result.dmaps_dim}; agreement: {result.agreement}")
+            if args.strict and not result.agreement:
+                return EXIT_DISAGREEMENT
         print(f"{args.command}: done -> {args.out}")
         return EXIT_OK
     except DomainError as exc:

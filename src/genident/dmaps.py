@@ -43,6 +43,9 @@ _DISCONNECTED_GAP = 1e-10
 # local fit, not a near-global one (Dsilva et al., ACHA 44, 2018)
 DEFAULT_RESIDUAL_BANDWIDTH_MULT = 0.5
 
+# a largest residual gap ratio below this is ambiguous
+_AMBIGUITY_RATIO = 1.5
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -277,14 +280,14 @@ def local_linear_residuals(emb: DMapsEmbedding,
     return ResidualReport(residuals, tuple(range(1, K + 1)), bandwidth_mult, fallbacks)
 
 
-def select_nonharmonic(report: ResidualReport, target_dim: int | None = None,
-                       ambiguity_ratio: float = 1.5) -> NonharmonicSelection:
+def select_nonharmonic(report: ResidualReport,
+                       target_dim: int | None = None) -> NonharmonicSelection:
     """Pick the non-harmonic eigenvector indices from the residual profile.
 
     With ``target_dim`` the largest residuals win outright; otherwise the cut
     is placed at the largest ratio between consecutive sorted residuals.  An
-    ambiguous largest gap (below ``ambiguity_ratio``) is reported with both
-    candidate sets.
+    ambiguous largest gap (ratio below ``_AMBIGUITY_RATIO``) is reported with
+    both candidate sets.
     """
     r = np.asarray(report.residuals, dtype=float)
     idx = np.asarray(report.indices)
@@ -302,7 +305,7 @@ def select_nonharmonic(report: ResidualReport, target_dim: int | None = None,
     chosen = np.sort(idx[order[: cut + 1]])
     second = int(np.argsort(ratios)[::-1][1]) if len(ratios) > 1 else cut
     alternate = np.sort(idx[order[: second + 1]])
-    ambiguous = best < ambiguity_ratio
+    ambiguous = best < _AMBIGUITY_RATIO
     if ambiguous:
         warnings.warn(f"largest residual gap ratio {best:.2f} is ambiguous; "
                       f"alternate candidate set reported")

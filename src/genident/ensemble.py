@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .generator import (
     IQ_STANDARD,
     PARAM_NAMES,
     IndependentParams,
-    LimitFlags,
     ObservationGrid,
     integrate_batch,
     observe,
@@ -41,8 +40,6 @@ class EnsembleSpec:
     n_samples: int = 10000
     perturbation: float = 0.10
     seed: int = 0
-    grid: ObservationGrid = field(default_factory=ObservationGrid)
-    flags: LimitFlags = field(default_factory=LimitFlags)
 
     def __post_init__(self):
         if self.n_samples < 2:
@@ -89,17 +86,16 @@ def sample_ensemble(spec: EnsembleSpec) -> np.ndarray:
 
 
 def _run_chunk(args):
-    idx, ps, flags, grid, rtol, iq_form = args
+    idx, ps, grid, rtol, iq_form = args
     try:
-        traj = integrate_batch(ps, flags, t_end=grid.t_end, rtol=rtol, atol=rtol,
-                               iq_form=iq_form)
+        traj = integrate_batch(ps, t_end=grid.t_end, rtol=rtol, atol=rtol, iq_form=iq_form)
         return idx, np.atleast_2d(observe(traj, grid)), []
     except (SolverError, DomainError):
         # retry row by row so one bad member does not sink the chunk
         outs, failed = [], []
         for r in range(ps.shape[0]):
             try:
-                traj = integrate_batch(ps[r:r + 1], flags, t_end=grid.t_end,
+                traj = integrate_batch(ps[r:r + 1], t_end=grid.t_end,
                                        rtol=rtol, atol=rtol, iq_form=iq_form)
                 outs.append(np.atleast_2d(observe(traj, grid)))
             except (SolverError, DomainError):
@@ -109,10 +105,10 @@ def _run_chunk(args):
 
 
 def run_ensemble(params: np.ndarray, grid: ObservationGrid = DEFAULT_GRID,
-                 flags: LimitFlags = LimitFlags(), workers: int = 1, *,
+                 workers: int = 1, *,
                  rtol: float = 1e-7, iq_form: str = IQ_STANDARD,
                  max_failure_frac: float = 0.01) -> EnsembleRun:
-    """Observed output for every parameter row.
+    """Observed full-model output for every parameter row.
 
     Rows are integrated in fixed-size shared-step chunks, so the result is
     identical for any worker count; failed rows are dropped with a warning and
@@ -120,7 +116,7 @@ def run_ensemble(params: np.ndarray, grid: ObservationGrid = DEFAULT_GRID,
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     n = params.shape[0]
-    tasks = [(lo, params[lo:lo + _CHUNK], flags, grid, rtol, iq_form)
+    tasks = [(lo, params[lo:lo + _CHUNK], grid, rtol, iq_form)
              for lo in range(0, n, _CHUNK)]
     results = {}
     if workers > 1 and len(tasks) > 1:

@@ -15,11 +15,9 @@ import numpy as np
 
 from .errors import DomainError
 from .generator import (
-    DEFAULT_CONSTANTS,
     DEFAULT_GRID,
     IQ_STANDARD,
     PARAM_NAMES,
-    Constants,
     IndependentParams,
     LimitFlags,
     ObservationGrid,
@@ -47,14 +45,10 @@ __all__ = [
 # trajectory run so truncation of the h = 1e-4 differences stays dominant
 SENSITIVITY_RTOL = 1e-9
 
-COORDS_LOG = "log-parameter"
-COORDS_BARE = "bare-parameter"
-
 
 @dataclass(frozen=True)
 class SensitivityMatrix:
-    entries: np.ndarray  # (M, n_params)
-    coordinates: str
+    entries: np.ndarray  # (M, n_params), log-parameter columns
     step: float
     param_names: tuple[str, ...]
 
@@ -66,7 +60,6 @@ class SensitivityMatrix:
 @dataclass(frozen=True)
 class FIMatrix:
     entries: np.ndarray  # (n, n)
-    sigma: float = 1.0
 
     def __post_init__(self):
         a = self.entries
@@ -97,7 +90,7 @@ class NoisyData:
 
 
 def generator_map(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_GRID,
-                  rtol: float = SENSITIVITY_RTOL, c: Constants = DEFAULT_CONSTANTS,
+                  rtol: float = SENSITIVITY_RTOL,
                   iq_form: str = IQ_STANDARD) -> Callable[[np.ndarray], np.ndarray]:
     """Batched map from log-parameter rows (of the active parameters) to outputs.
 
@@ -115,7 +108,7 @@ def generator_map(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFA
         ps = np.tile(nominal, (lt.shape[0], 1))
         ps[:, idx] = np.exp(lt)
         traj = integrate_batch(ps, flags, t_end=grid.t_end, rtol=rtol, atol=rtol,
-                               c=c, iq_form=iq_form)
+                               iq_form=iq_form)
         out = observe(traj, grid)
         return np.atleast_2d(out)
 
@@ -125,11 +118,9 @@ def generator_map(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFA
 
 
 def model_map(p: IndependentParams, flags: LimitFlags = LimitFlags(),
-              grid: ObservationGrid = DEFAULT_GRID, *, rtol: float = 1e-7,
-              c: Constants = DEFAULT_CONSTANTS, iq_form: str = IQ_STANDARD) -> np.ndarray:
+              grid: ObservationGrid = DEFAULT_GRID, *, iq_form: str = IQ_STANDARD) -> np.ndarray:
     """Concatenated observation vector for one parameter set (deterministic)."""
-    traj = integrate_batch(p.to_array()[None, :], flags, t_end=grid.t_end,
-                           rtol=rtol, atol=rtol, c=c, iq_form=iq_form)
+    traj = integrate_batch(p.to_array()[None, :], flags, t_end=grid.t_end, iq_form=iq_form)
     return observe(traj, grid)
 
 
@@ -155,37 +146,30 @@ def central_difference_jacobian(f: Callable[[np.ndarray], np.ndarray],
 
 def sensitivities(p: IndependentParams, flags: LimitFlags = LimitFlags(),
                   grid: ObservationGrid = DEFAULT_GRID, step: float = 1e-4, *,
-                  coordinates: str = COORDS_LOG, rtol: float = SENSITIVITY_RTOL,
-                  c: Constants = DEFAULT_CONSTANTS,
+                  rtol: float = SENSITIVITY_RTOL,
                   iq_form: str = IQ_STANDARD) -> SensitivityMatrix:
-    """Output sensitivities with respect to the active parameters.
+    """Output sensitivities with respect to the active log-parameters.
 
-    In log coordinates column j is (Y(theta * exp(+h e_j)) - Y(theta *
-    exp(-h e_j))) / 2h; the bare-coordinate variant divides each column by
-    theta_j afterwards.
+    Column j is (Y(theta * exp(+h e_j)) - Y(theta * exp(-h e_j))) / 2h.
     """
     if step <= 0:
         raise DomainError("step must be positive")
-    if coordinates not in (COORDS_LOG, COORDS_BARE):
-        raise DomainError(f"unknown coordinates {coordinates!r}")
     active = flags.active_params()
     theta = np.array([getattr(p, nm) for nm in active])
     if np.any(theta <= 0):
         raise DomainError("log-parameter differencing requires strictly positive parameters")
-    f = generator_map(flags, grid, rtol=rtol, c=c, iq_form=iq_form)
+    f = generator_map(flags, grid, rtol=rtol, iq_form=iq_form)
     J = central_difference_jacobian(f, np.log(theta), step)
-    if coordinates == COORDS_BARE:
-        J = J / theta[None, :]
-    return SensitivityMatrix(J, coordinates, step, active)
+    return SensitivityMatrix(J, step, active)
 
 
-def fim(J: SensitivityMatrix | np.ndarray, sigma: float = 1.0) -> FIMatrix:
-    """Fisher information J^T J / sigma^2 (noise scale fixed to 1 by convention)."""
+def fim(J: SensitivityMatrix | np.ndarray) -> FIMatrix:
+    """Fisher information J^T J, with the noise scale fixed to 1 by convention."""
     entries = J.entries if isinstance(J, SensitivityMatrix) else np.asarray(J, dtype=float)
     if not np.all(np.isfinite(entries)):
         raise DomainError("sensitivity matrix has non-finite entries")
-    M = entries.T @ entries / sigma**2
-    return FIMatrix(0.5 * (M + M.T), sigma)
+    M = entries.T @ entries
+    return FIMatrix(0.5 * (M + M.T))
 
 
 def spectrum(I: FIMatrix, names: Sequence[str] | None = None) -> InfoSpectrum:

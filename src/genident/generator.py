@@ -284,26 +284,22 @@ class LimitFlags:
 
 @dataclass(frozen=True)
 class ObservationGrid:
-    """Uniform sampling grid over the late, near-equilibrium window."""
+    """Uniform sampling grid over the late, near-equilibrium window; all states are observed."""
 
     t_start: float = 3.0
     t_end: float = 5.0
     dt: float = 0.02
-    observed_states: tuple[str, ...] = STATE_NAMES
 
     def __post_init__(self):
         if not (self.t_start < self.t_end and self.dt > 0):
             raise DomainError("grid requires t_start < t_end and dt > 0")
-        unknown = set(self.observed_states) - set(STATE_NAMES)
-        if unknown:
-            raise DomainError(f"unknown observed states {sorted(unknown)}")
 
     def times(self) -> np.ndarray:
         n = int(math.floor((self.t_end - self.t_start) / self.dt + 1e-9)) + 1
         return self.t_start + self.dt * np.arange(n)
 
     def size(self) -> int:
-        return len(self.times()) * len(self.observed_states)
+        return len(self.times()) * len(STATE_NAMES)
 
 
 DEFAULT_GRID = ObservationGrid()
@@ -313,13 +309,14 @@ DEFAULT_GRID = ObservationGrid()
 # the model: stator algebra, EMF equations, parameter map
 # ---------------------------------------------------------------------------
 
-def _stator(delta, x: dict, b, c: Constants, flags: LimitFlags, iq_form: str):
+def _stator(delta, x: dict, b, flags: LimitFlags, iq_form: str):
     """Stator algebra at rotor angle(s) ``delta``, for scalars or arrays.
 
     ``x`` maps state names to values; e''_q and e''_d are read from it unless
     their subtransient limit slaves them, in which case they are closed here.
     Returns (v_d, v_q, i_d, i_q, P_g, eq2, ed2).
     """
+    c = DEFAULT_CONSTANTS
     v_d = c.V * np.sin(delta - c.vartheta)
     v_q = c.V * np.cos(delta - c.vartheta)
     if flags.tdpp_zero:
@@ -343,14 +340,14 @@ def _stator(delta, x: dict, b, c: Constants, flags: LimitFlags, iq_form: str):
     return v_d, v_q, i_d, i_q, P_g, eq2, ed2
 
 
-def _emf_rates(x: dict, alg, b, c: Constants, flags: LimitFlags) -> list:
+def _emf_rates(x: dict, alg, b, flags: LimitFlags) -> list:
     """The four EMF equations, for the EMFs that stay differential under ``flags``.
 
     ``alg`` is :func:`_stator`'s result at the same state; the rates come in
     the order of ``flags.dynamic_states()``.
     """
     _, _, i_d, i_q, _, eq2, ed2 = alg
-    rates = [(-x["eq1"] - (b["x_d"] - b["x_d1"]) * i_d + c.v_f0) / b["T_d01"],
+    rates = [(-x["eq1"] - (b["x_d"] - b["x_d1"]) * i_d + DEFAULT_CONSTANTS.v_f0) / b["T_d01"],
              (-x["ed1"] + (b["x_q"] - b["x_q1"]) * i_q) / b["T_q01"]]
     if not flags.tdpp_zero:
         rates.append((-eq2 + x["eq1"] - (b["x_d1"] - b["x_d2"]) * i_d) / b["T_d02"])
@@ -371,8 +368,7 @@ def _bare_arrays(ps: np.ndarray, flags: LimitFlags) -> dict:
                  np.zeros_like(dx1) if flags.dx1_zero else dx1, *rest)
 
 
-def algebraic_eval(s: StateVector, b: BareParams, c: Constants = DEFAULT_CONSTANTS,
-                   iq_form: str = IQ_STANDARD) -> AlgebraicVars:
+def algebraic_eval(s: StateVector, b: BareParams, iq_form: str = IQ_STANDARD) -> AlgebraicVars:
     """Evaluate the stator algebraic block at one state.
 
     ``iq_form`` selects the quadrature-current expression: ``"standard"`` uses
@@ -383,23 +379,23 @@ def algebraic_eval(s: StateVector, b: BareParams, c: Constants = DEFAULT_CONSTAN
         raise ZeroDivisionError("subtransient reactances must be nonzero")
     if b.x_d2 < 0 or b.x_q2 < 0:
         raise DomainError("subtransient reactances must be positive")
-    v_d, v_q, i_d, i_q, P_g, _, _ = _stator(s.delta, vars(s), vars(b), c, LimitFlags(),
-                                            iq_form)
+    v_d, v_q, i_d, i_q, P_g, _, _ = _stator(s.delta, vars(s), vars(b), LimitFlags(), iq_form)
     return AlgebraicVars(float(v_d), float(v_q), float(i_d), float(i_q), float(P_g))
 
 
-def _full_rhs(t, y, b, n, c, flags, iq_form):
+def _full_rhs(t, y, b, n, flags, iq_form):
     """Right-hand side of the sixth-order model, vectorized over n parameter sets."""
+    c = DEFAULT_CONSTANTS
     s = y.reshape(n, 6)
     x = dict(zip(STATE_NAMES, s.T))
-    alg = _stator(x["delta"], x, b, c, flags, iq_form)
+    alg = _stator(x["delta"], x, b, flags, iq_form)
     out = np.empty_like(s)
     out[:, 0] = c.omega_b * (x["omega"] - c.omega_0)
     acc = c.P_m - alg[4]
     if not np.all(b["D"] == 0):
         acc = acc - b["D"] * (x["omega"] - c.omega_0)
     out[:, 1] = acc / b["H"]
-    for j, rate in enumerate(_emf_rates(x, alg, b, c, flags), start=2):
+    for j, rate in enumerate(_emf_rates(x, alg, b, flags), start=2):
         out[:, j] = rate
     return out.ravel()
 
@@ -411,21 +407,20 @@ class _InertiaLimitRHS:
     warm-started from the previous call's angle, which ``delta`` keeps.
     """
 
-    def __init__(self, b, n, c, flags: LimitFlags, iq_form: str, delta=None):
-        self.b, self.n, self.c, self.flags, self.iq_form = b, n, c, flags, iq_form
+    def __init__(self, b, n, flags: LimitFlags, iq_form: str, delta=None):
+        self.b, self.n, self.flags, self.iq_form = b, n, flags, iq_form
         self.names = flags.dynamic_states()
         self.delta = delta
 
     def __call__(self, t, y):
         x = dict(zip(self.names, y.reshape(self.n, len(self.names)).T))
-        self.delta = solve_power_angle(x, self.b, self.c, self.flags, self.iq_form,
-                                       guess=self.delta)
-        alg = _stator(self.delta, x, self.b, self.c, self.flags, self.iq_form)
-        return np.column_stack(_emf_rates(x, alg, self.b, self.c, self.flags)).ravel()
+        self.delta = solve_power_angle(x, self.b, self.flags, self.iq_form, guess=self.delta)
+        alg = _stator(self.delta, x, self.b, self.flags, self.iq_form)
+        return np.column_stack(_emf_rates(x, alg, self.b, self.flags)).ravel()
 
 
-def solve_power_angle(st: dict, b, c: Constants, flags: LimitFlags, iq_form: str,
-                      guess=None, tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
+def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None,
+                      tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
     """Rotor angle(s) satisfying the power balance P_g(delta) = P_m.
 
     Safeguarded Newton with a bisection fallback on the operating branch
@@ -433,12 +428,13 @@ def solve_power_angle(st: dict, b, c: Constants, flags: LimitFlags, iq_form: str
     Fully vectorized: the state arrays may carry any shape (parameter sets,
     or parameter sets x time nodes), broadcast against the bare arrays.
     """
+    c = DEFAULT_CONSTANTS
     shape = np.broadcast_shapes(np.shape(st["eq1"]), np.shape(b["x_d2"]))
     lo = np.full(shape, c.vartheta + 1e-12)
     hi = np.full(shape, c.vartheta + math.pi / 2 - 1e-12)
 
     def residual(delta):
-        return _stator(delta, st, b, c, flags, iq_form)[4] - c.P_m
+        return _stator(delta, st, b, flags, iq_form)[4] - c.P_m
 
     r_lo, r_hi = residual(lo), residual(hi)
     if np.any(r_lo * r_hi > 0):
@@ -471,7 +467,7 @@ def solve_power_angle(st: dict, b, c: Constants, flags: LimitFlags, iq_form: str
 
 
 def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlags = LimitFlags(),
-        c: Constants = DEFAULT_CONSTANTS, iq_form: str = IQ_STANDARD):
+        iq_form: str = IQ_STANDARD):
     """State derivative and algebraic residuals at one state.
 
     For models without the inertia limit this returns the six-component
@@ -486,14 +482,14 @@ def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlag
     arr = np.asarray(s.to_array() if isinstance(s, StateVector) else s, dtype=float)
     x = {name: arr[i:i + 1] for i, name in enumerate(STATE_NAMES)}
     if flags.h_zero:
-        f = _InertiaLimitRHS(b, 1, c, flags, iq_form, delta=arr[:1] if arr[0] > 0 else None)
+        f = _InertiaLimitRHS(b, 1, flags, iq_form, delta=arr[:1] if arr[0] > 0 else None)
         d = f(0.0, np.concatenate([x[name] for name in f.names]))
         delta = f.delta
     else:
-        d = _full_rhs(0.0, arr, b, 1, c, flags, iq_form)
+        d = _full_rhs(0.0, arr, b, 1, flags, iq_form)
         delta = x["delta"]
-    P_g = _stator(delta, x, b, c, flags, iq_form)[4]
-    return d, {"power_balance": float(c.P_m - P_g[0])}
+    P_g = _stator(delta, x, b, flags, iq_form)[4]
+    return d, {"power_balance": float(DEFAULT_CONSTANTS.P_m - P_g[0])}
 
 
 @dataclass(frozen=True)
@@ -527,8 +523,7 @@ class Trajectory:
 def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
                     ics: StateVector | None = None, t_end: float = 5.0, *,
                     t_start: float = 0.0, rtol: float = 1e-7, atol: float = 1e-7,
-                    c: Constants = DEFAULT_CONSTANTS, iq_form: str = IQ_STANDARD,
-                    first_step: float = 1e-4, max_step: float = 0.05) -> Trajectory:
+                    iq_form: str = IQ_STANDARD) -> Trajectory:
     """Integrate many parameter sets over one shared adaptive-step sequence.
 
     Sharing the step sequence keeps the members' integration errors strongly
@@ -555,29 +550,25 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         return Trajectory(np.array([t_start]), states[:1].reshape(1, 6),
                           (t_start, t_end), n, evaluator)
 
-    if not flags.h_zero:
-        y0 = np.tile(x0, n)
-        sol = solve_ivp(_full_rhs, (t_start, t_end), y0, method="RK45",
-                        rtol=rtol, atol=atol, dense_output=True,
-                        first_step=first_step, max_step=max_step,
-                        args=(b, n, c, flags, iq_form))
-        if sol.status != 0:
-            raise SolverError(f"integration failed: {sol.message}")
+    # in the inertia limit only the EMF states integrate; the rotor angle is algebraic
+    if flags.h_zero:
+        f = _InertiaLimitRHS(b, n, flags, iq_form)
+    else:
+        def f(t, y):
+            return _full_rhs(t, y, b, n, flags, iq_form)
+    names = flags.dynamic_states()
+    y0 = np.tile(x0[[STATE_NAMES.index(nm) for nm in names]], n)
+    sol = solve_ivp(f, (t_start, t_end), y0, method="RK45", rtol=rtol, atol=atol,
+                    dense_output=True, first_step=1e-4, max_step=0.05)
+    if sol.status != 0:
+        raise SolverError(f"integration failed: {sol.message}")
 
+    if not flags.h_zero:
         def evaluator(t):
             return sol.sol(t).reshape(n, 6, len(t)).transpose(0, 2, 1)
 
         first = sol.sol(sol.t).reshape(n, 6, len(sol.t))[0].T
         return Trajectory(sol.t.copy(), first, (t_start, t_end), n, evaluator)
-
-    # --- inertia-limit family: EMF states integrate, rotor angle is algebraic
-    f = _InertiaLimitRHS(b, n, c, flags, iq_form)
-    names = f.names
-    y0 = np.tile(x0[[STATE_NAMES.index(nm) for nm in names]], n)
-    sol = solve_ivp(f, (t_start, t_end), y0, method="RK45", rtol=rtol, atol=atol,
-                    dense_output=True, first_step=first_step, max_step=max_step)
-    if sol.status != 0:
-        raise SolverError(f"integration failed: {sol.message}")
 
     b2 = {key: np.asarray(val)[:, None] for key, val in b.items()}  # broadcast over time
 
@@ -590,13 +581,13 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         """
         s = sol.sol(t).reshape(n, len(names), len(t))
         x = dict(zip(names, s.transpose(1, 0, 2)))
-        delta = solve_power_angle(x, b2, c, flags, iq_form)
-        alg = _stator(delta, x, b2, c, flags, iq_form)
+        delta = solve_power_angle(x, b2, flags, iq_form)
+        alg = _stator(delta, x, b2, flags, iq_form)
         h = 1e-30
         moved = {nm: x[nm] + 1j * h * r
-                 for nm, r in zip(names, _emf_rates(x, alg, b2, c, flags))}
-        dP_x = _stator(delta, moved, b2, c, flags, iq_form)[4].imag / h
-        dP_delta = _stator(delta + 1j * h, x, b2, c, flags, iq_form)[4].imag / h
+                 for nm, r in zip(names, _emf_rates(x, alg, b2, flags))}
+        dP_x = _stator(delta, moved, b2, flags, iq_form)[4].imag / h
+        dP_delta = _stator(delta + 1j * h, x, b2, flags, iq_form)[4].imag / h
         return x, delta, alg, -dP_x / dP_delta
 
     # rotor speed follows the angle's rate, anchored to its supplied initial value
@@ -606,7 +597,7 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         x, delta, alg, ddelta = slaved(t)
         full = np.empty((n, len(t), 6))
         full[:, :, 0] = delta
-        full[:, :, 1] = ics.omega + (ddelta - ddelta0) / c.omega_b
+        full[:, :, 1] = ics.omega + (ddelta - ddelta0) / DEFAULT_CONSTANTS.omega_b
         full[:, :, 2] = x["eq1"]
         full[:, :, 3] = x["ed1"]
         full[:, :, 4] = alg[5]
@@ -620,21 +611,18 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
 def integrate(p: IndependentParams, flags: LimitFlags = LimitFlags(),
               ics: StateVector | None = None, t_end: float = 5.0, *,
               t_start: float = 0.0, rtol: float = 1e-7, atol: float = 1e-7,
-              c: Constants = DEFAULT_CONSTANTS, iq_form: str = IQ_STANDARD) -> Trajectory:
+              iq_form: str = IQ_STANDARD) -> Trajectory:
     """Integrate a single parameter set; see :func:`integrate_batch`."""
     return integrate_batch(p.to_array()[None, :], flags, ics, t_end,
-                           t_start=t_start, rtol=rtol, atol=atol, c=c, iq_form=iq_form)
+                           t_start=t_start, rtol=rtol, atol=atol, iq_form=iq_form)
 
 
 def observe(traj: Trajectory, grid: ObservationGrid = DEFAULT_GRID) -> np.ndarray:
-    """Sample a trajectory onto the grid and stack time-major.
+    """Sample all six states onto the grid and stack time-major.
 
-    Result length is n_times * n_observed_states, ordered as all observed
-    states at t_1, then all at t_2, and so on.  For a batched trajectory the
-    result is a (n_sets, M) matrix.
+    Result length is n_times * 6, ordered as every state at t_1, then every
+    state at t_2, and so on.  For a batched trajectory the result is a
+    (n_sets, M) matrix.
     """
-    t = grid.times()
-    idx = [STATE_NAMES.index(nm) for nm in grid.observed_states]
-    s = traj.at(t)[:, :, idx]  # (n_sets, n_times, n_obs)
-    flat = s.reshape(traj.n_sets, -1)
+    flat = traj.at(grid.times()).reshape(traj.n_sets, -1)
     return flat[0] if traj.n_sets == 1 else flat

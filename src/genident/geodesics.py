@@ -47,9 +47,15 @@ __all__ = [
 #: relative eigenvalue floor for inverting the metric near degenerate boundaries
 METRIC_FLOOR = 1e-13
 
-#: default finite-difference steps (log-parameter units)
+#: finite-difference steps (log-parameter units)
 JAC_STEP = 1e-4
 DIR_STEP = 1e-2
+
+# a geodesic whose speed has risen this many times its start speed, and then
+# grows by less than _PLATEAU_GROWTH (relative) over a chunk, has saturated
+# against the metric floor
+_PLATEAU_RATIO = 10.0
+_PLATEAU_GROWTH = 0.02
 
 #: model evaluations allowed per geodesic chunk before it counts as stalled
 _CHUNK_EVAL_BUDGET = 300
@@ -111,8 +117,7 @@ def _floored_inverse_apply(I: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def contraction_for_map(f: Callable[[np.ndarray], np.ndarray], log_theta: np.ndarray,
-                        v: np.ndarray, jac_step: float = JAC_STEP,
-                        dir_step: float = DIR_STEP) -> np.ndarray:
+                        v: np.ndarray) -> np.ndarray:
     """Connection-coefficient contraction Gamma[v, v] for a batched map.
 
     Evaluates metric^-1 J^T (d^2 Y / d tau^2 along v); the directional second
@@ -128,15 +133,15 @@ def contraction_for_map(f: Callable[[np.ndarray], np.ndarray], log_theta: np.nda
     vhat = v / vn
     pts = np.repeat(log_theta[None, :], 2 * n + 3, axis=0)
     for j in range(n):
-        pts[2 * j, j] += jac_step
-        pts[2 * j + 1, j] -= jac_step
-    pts[2 * n + 1] += dir_step * vhat
-    pts[2 * n + 2] -= dir_step * vhat
+        pts[2 * j, j] += JAC_STEP
+        pts[2 * j + 1, j] -= JAC_STEP
+    pts[2 * n + 1] += DIR_STEP * vhat
+    pts[2 * n + 2] -= DIR_STEP * vhat
     Y = f(pts)
     if not np.all(np.isfinite(Y)):
         raise SolverError("map returned non-finite values during contraction")
-    J = np.stack([(Y[2 * j] - Y[2 * j + 1]) / (2 * jac_step) for j in range(n)], axis=1)
-    d2 = (Y[2 * n + 1] - 2.0 * Y[2 * n] + Y[2 * n + 2]) / dir_step**2 * vn**2
+    J = np.stack([(Y[2 * j] - Y[2 * j + 1]) / (2 * JAC_STEP) for j in range(n)], axis=1)
+    d2 = (Y[2 * n + 1] - 2.0 * Y[2 * n] + Y[2 * n + 2]) / DIR_STEP**2 * vn**2
     return _floored_inverse_apply(J.T @ J, J.T @ d2)
 
 
@@ -167,16 +172,14 @@ def sloppiest_direction(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np
 
 def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], start: GeodesicState, *,
                    tau_max: float, vel_ratio: float = 1e3, log_bound: float = 25.0,
-                   rtol: float = 1e-6, atol: float = 1e-8,
-                   jac_step: float = JAC_STEP, dir_step: float = DIR_STEP,
-                   plateau_ratio: float = 10.0, plateau_growth: float = 0.02,
+                   rtol: float = 1e-6,
                    param_names: Sequence[str] | None = None) -> GeodesicTrace:
     """Integrate the geodesic equation until a boundary indicator fires.
 
     Three signals count as reaching a boundary: a log-parameter exceeding
     ``log_bound``, the velocity norm growing past ``vel_ratio`` times its
     initial value, or the velocity saturating against the metric floor (risen
-    by at least ``plateau_ratio`` and then flat to within ``plateau_growth``
+    by at least ``_PLATEAU_RATIO`` and then flat to within ``_PLATEAU_GROWTH``
     over a whole chunk).  The last matters for singular limits: past the
     floor the underlying model grows ever stiffer and chasing the nominal
     thresholds would cost unbounded work for no extra information.
@@ -185,7 +188,7 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], start: GeodesicState, 
     chunk travels more than about one log-unit, keeping the post-saturation
     overshoot bounded.  Every accepted step is kept.  A chunk that burns its
     evaluation budget has stalled: at a boundary if the speed it reached had
-    risen by ``plateau_ratio``, else a ``failure``.  Running out the
+    risen by ``_PLATEAU_RATIO``, else a ``failure``.  Running out the
     ``tau_max`` arc budget is not a boundary; model breakdown yields a partial
     trace marked ``failure``.
     """
@@ -212,7 +215,7 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], start: GeodesicState, 
             raise _ChunkStalled()
         budget["left"] -= 1
         theta, w = y[:n], y[n:]
-        return np.concatenate([w, -contraction_for_map(f, theta, w, jac_step, dir_step)])
+        return np.concatenate([w, -contraction_for_map(f, theta, w)])
 
     # threshold indicators; a boundary is where one changes sign
     indicators = (lambda y: np.linalg.norm(y[n:]) - vel_ratio,
@@ -231,7 +234,7 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], start: GeodesicState, 
         budget["left"] = _CHUNK_EVAL_BUDGET
         g = [ind(y_now) for ind in indicators]
         try:
-            solver = RK45(rhs, s_now, y_now, s_now + ds, rtol=rtol, atol=atol, max_step=ds,
+            solver = RK45(rhs, s_now, y_now, s_now + ds, rtol=rtol, atol=1e-8, max_step=ds,
                           first_step=None if first_step is None else min(first_step, 0.5 * ds))
             while solver.status == "running":
                 message = solver.step()
@@ -259,7 +262,7 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], start: GeodesicState, 
             # acceleration is dominated by differencing noise or blows up, so
             # the chunk burns its evaluation budget; the speed it reached
             # tells a boundary from a stall in the middle of the manifold
-            if np.linalg.norm(ys[-1][n:]) >= plateau_ratio:
+            if np.linalg.norm(ys[-1][n:]) >= _PLATEAU_RATIO:
                 reason = "boundary"
                 detail = "velocity growth stalled against the metric floor"
             else:
@@ -269,8 +272,7 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], start: GeodesicState, 
         if reason != "max_tau":
             break
         w_end = np.linalg.norm(ys[-1][n:])
-        if (w_end >= plateau_ratio
-                and w_end - w_norm <= plateau_growth * w_end):
+        if w_end >= _PLATEAU_RATIO and w_end - w_norm <= _PLATEAU_GROWTH * w_end:
             reason, detail = "boundary", "velocity saturated at the metric floor"
             break
 
@@ -323,10 +325,9 @@ def diagnose_boundary(trace: GeodesicTrace) -> BoundaryDiagnosis:
 
 
 def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_GRID, *,
-              p: IndependentParams | None = None, iq_form: str = IQ_STANDARD,
-              vel_ratio: float = 1e3, log_bound: float = 25.0,
+              iq_form: str = IQ_STANDARD, vel_ratio: float = 1e3, log_bound: float = 25.0,
               rtol: float = 1e-6) -> tuple[BoundaryDiagnosis, LimitFlags, GeodesicTrace]:
-    """One reduction step: sloppiest geodesic of the flagged model, diagnosed.
+    """One reduction step: sloppiest geodesic of the flagged model at nominal, diagnosed.
 
     Returns the boundary diagnosis, the augmented flag set, and the trace.
     A diagnosis that does not match the next limit of the supported chain
@@ -334,24 +335,20 @@ def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_
     """
     if flags.count() >= len(LIMIT_CHAIN):
         raise DomainError("no reduction limits remain")
-    if p is None:
-        p = IndependentParams.nominal()
     f = generator_map(flags, grid, iq_form=iq_form)
     active = flags.active_params()
-    theta0 = np.log([getattr(p, nm) for nm in active])
+    theta0 = np.log([getattr(IndependentParams.nominal(), nm) for nm in active])
     J = central_difference_jacobian(f, theta0, JAC_STEP)
     spec = spectrum(fim(J), active)
     lam_min = float(spec.eigenvalues[-1])
     tau_max = 10.0 * math.sqrt(lam_min)
     v0 = sloppiest_direction(spec.eigenvalues, spec.eigenvectors)
-    trace = trace_geodesic(f, GeodesicState(theta0, v0), tau_max=tau_max,
-                           vel_ratio=vel_ratio, log_bound=log_bound, rtol=rtol,
-                           param_names=active)
-    if trace.terminated == "max_tau":
-        # unhelpful sign convention: try the opposite orientation
-        trace = trace_geodesic(f, GeodesicState(theta0, -v0), tau_max=tau_max,
+    for v in (v0, -v0):  # on max_tau the sign convention was unhelpful: turn round
+        trace = trace_geodesic(f, GeodesicState(theta0, v), tau_max=tau_max,
                                vel_ratio=vel_ratio, log_bound=log_bound, rtol=rtol,
                                param_names=active)
+        if trace.terminated != "max_tau":
+            break
     if trace.terminated != "boundary":
         raise SolverError(f"geodesic did not reach a boundary ({trace.terminated}: {trace.detail})")
     diag = diagnose_boundary(trace)
@@ -365,9 +362,11 @@ def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_
 
 
 def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, iq_form: str = IQ_STANDARD,
-               n_steps: int = len(LIMIT_CHAIN),
+               vel_ratio: float = 1e3, log_bound: float = 25.0, rtol: float = 1e-6,
                collect_traces: bool = False) -> list[dict]:
     """Run consecutive reduction steps from the full model; returns stage reports.
+
+    ``vel_ratio``, ``log_bound`` and ``rtol`` go to every :func:`mbam_step`.
 
     Each finished stage reports ``from_params`` -> ``to_params``, the
     diagnosed limit, and its wall-clock (plus its ``trace`` with
@@ -382,12 +381,14 @@ def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, iq_form: str = IQ_STANDA
     """
     flags = LimitFlags()
     out = []
-    for _ in range(n_steps):
+    for _ in LIMIT_CHAIN:
         n_before = len(flags.active_params())
         t0 = time.monotonic()
         entry = {"from_params": n_before}
         try:
-            diag, next_flags, trace = mbam_step(flags, grid, iq_form=iq_form)
+            diag, next_flags, trace = mbam_step(flags, grid, iq_form=iq_form,
+                                                vel_ratio=vel_ratio, log_bound=log_bound,
+                                                rtol=rtol)
             entry["to_params"] = n_before - 1
         except (ChainDivergenceError, SolverError) as exc:
             diag = getattr(exc, "diagnosis", None)

@@ -12,9 +12,8 @@ import hashlib
 import json
 import os
 import platform
-import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy
@@ -23,6 +22,9 @@ from . import __version__
 from .dmaps import (
     DEFAULT_RESIDUAL_BANDWIDTH_MULT,
     Dataset,
+    DMapsEmbedding,
+    NonharmonicSelection,
+    ResidualReport,
     dmaps,
     local_linear_residuals,
     median_epsilon,
@@ -45,7 +47,8 @@ from .geodesics import mbam_chain, mbam_step
 from .harmonics import GHModel, JacobianReport, gh_fit, gh_predict, jacobian_report
 
 __all__ = ["Config", "Stage", "load_config", "run_stage", "STAGES", "write_csv",
-           "GHTrack", "fit_gh_track", "square_ift_reports"]
+           "embed_outputs", "select_coordinates", "GHTrack", "fit_gh_track",
+           "square_ift_reports"]
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,7 @@ def stage_simulate(cfg: Config, out_dir: str) -> str:
 
 def stage_sample(cfg: Config, out_dir: str) -> str:
     st = Stage(out_dir, "sample", cfg)
-    spec = EnsembleSpec(cfg.n_samples, cfg.perturbation, cfg.seed, cfg.grid())
+    spec = EnsembleSpec(cfg.n_samples, cfg.perturbation, cfg.seed)
     params = sample_ensemble(spec)
     path = st.path("ensemble_params.csv")
     write_csv(path, list(PARAM_NAMES), params)
@@ -278,17 +281,21 @@ def stage_fim(cfg: Config, out_dir: str):
     return sp
 
 
+def _write_trace(path: str, trace) -> None:
+    """A geodesic trace as CSV: tau, then the log-parameters, then the velocities."""
+    n = trace.thetas.shape[1]
+    header = (["tau"] + [f"log_theta_{i+1}" for i in range(n)]
+              + [f"v_{i+1}" for i in range(n)])
+    write_csv(path, header, np.column_stack([trace.taus, trace.thetas, trace.velocities]))
+
+
 def stage_geodesic(cfg: Config, out_dir: str):
     """Sloppiest-direction geodesic of the full model plus its diagnosis."""
     st = Stage(out_dir, "geodesic", cfg)
     diag, _, trace = mbam_step(LimitFlags(), cfg.grid(), iq_form=cfg.iq_form,
                                vel_ratio=cfg.geo_vel_ratio,
                                log_bound=cfg.geo_log_bound, rtol=cfg.geo_rtol)
-    n = trace.thetas.shape[1]
-    header = (["tau"] + [f"log_theta_{i+1}" for i in range(n)]
-              + [f"v_{i+1}" for i in range(n)])
-    write_csv(st.path("geodesic_trace.csv"), header,
-              np.column_stack([trace.taus, trace.thetas, trace.velocities]))
+    _write_trace(st.path("geodesic_trace.csv"), trace)
     write_json(st.path("geodesic_diagnosis.json"), {
         "limit_param": diag.limit_param,
         "direction": diag.direction,
@@ -309,16 +316,13 @@ def stage_geodesic(cfg: Config, out_dir: str):
 def stage_mbam(cfg: Config, out_dir: str):
     """The reduction ladder; a diverging stage is written, then raised."""
     st = Stage(out_dir, "mbam", cfg)
-    chain = mbam_chain(cfg.grid(), iq_form=cfg.iq_form, collect_traces=True)
+    chain = mbam_chain(cfg.grid(), iq_form=cfg.iq_form, vel_ratio=cfg.geo_vel_ratio,
+                       log_bound=cfg.geo_log_bound, rtol=cfg.geo_rtol, collect_traces=True)
     for entry in chain:
         trace = entry.pop("trace", None)
         if trace is None:
             continue
-        n = trace.thetas.shape[1]
-        header = (["tau"] + [f"log_theta_{i+1}" for i in range(n)]
-                  + [f"v_{i+1}" for i in range(n)])
-        write_csv(st.path(f"mbam_trace_{entry['from_params']}params.csv"), header,
-                  np.column_stack([trace.taus, trace.thetas, trace.velocities]))
+        _write_trace(st.path(f"mbam_trace_{entry['from_params']}params.csv"), trace)
         entry["param_names"] = list(trace.param_names)
     write_json(st.path("mbam_chain.json"), chain)
     st.finish()
@@ -353,16 +357,14 @@ def stage_reduced_compare(cfg: Config, out_dir: str):
 def stage_dmaps(cfg: Config, out_dir: str):
     st = Stage(out_dir, "dmaps", cfg)
     _, outputs = read_csv(os.path.join(out_dir, "ensemble_outputs.csv"))
-    ds = rescale01(outputs)
-    eps = median_epsilon(ds, cfg.dmaps_epsilon_mult)
-    emb = dmaps(ds, eps, k=cfg.dmaps_k)
+    emb = embed_outputs(outputs, cfg)
     write_csv(st.path("dmaps_eigenvalues.csv"), ["index", "eigenvalue"],
               np.column_stack([np.arange(cfg.dmaps_k), emb.eigenvalues]))
     header = ["sample_id"] + [f"phi_{k}" for k in range(1, cfg.dmaps_k)]
     write_csv(st.path("embedding.csv"), header,
               np.column_stack([np.arange(emb.eigenvectors.shape[0]),
                                emb.eigenvectors[:, 1:]]))
-    st.extra["epsilon"] = eps
+    st.extra["epsilon"] = emb.epsilon
     st.finish()
     return emb
 
@@ -373,11 +375,7 @@ def stage_residuals(cfg: Config, out_dir: str):
     _, eig = read_csv(os.path.join(out_dir, "dmaps_eigenvalues.csv"))
     phi = np.column_stack([np.full(emb_data.shape[0], emb_data.shape[0] ** -0.5),
                            emb_data[:, 1:]])
-    from .dmaps import DMapsEmbedding
-    emb = DMapsEmbedding(eig[:, 1], phi, 0.0)
-    rep = local_linear_residuals(emb, cfg.residual_bandwidth_mult,
-                                 max_k=cfg.residual_max_k)
-    sel = select_nonharmonic(rep, cfg.target_dim or None)
+    rep, sel = select_coordinates(DMapsEmbedding(eig[:, 1], phi, 0.0), cfg)
     write_csv(st.path("residuals.csv"), ["eigenvector", "residual"],
               np.column_stack([np.asarray(rep.indices, dtype=float), rep.residuals]))
     write_json(st.path("residuals.json"), {
@@ -435,6 +433,26 @@ def gh_model_from_json(obj) -> GHModel:
         target_names=tuple(obj.get("target_names") or ()) or None,
         target_ndim=int(obj.get("target_ndim", 2)),
     )
+
+
+def embed_outputs(outputs: np.ndarray, cfg: Config) -> DMapsEmbedding:
+    """Diffusion-maps embedding of the rescaled ensemble outputs.
+
+    The kernel scale is ``cfg.dmaps_epsilon_mult`` times the median squared
+    pairwise distance; it comes back as the embedding's ``epsilon``.
+    """
+    ds = rescale01(outputs)
+    return dmaps(ds, median_epsilon(ds, cfg.dmaps_epsilon_mult), k=cfg.dmaps_k)
+
+
+def select_coordinates(emb: DMapsEmbedding,
+                       cfg: Config) -> tuple[ResidualReport, NonharmonicSelection]:
+    """Local-linear residuals of the embedding and the non-harmonic selection.
+
+    ``cfg.target_dim`` = 0 leaves the count to the residual-gap rule.
+    """
+    rep = local_linear_residuals(emb, cfg.residual_bandwidth_mult, max_k=cfg.residual_max_k)
+    return rep, select_nonharmonic(rep, cfg.target_dim or None)
 
 
 @dataclass(frozen=True)

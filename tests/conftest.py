@@ -48,23 +48,16 @@ def dmaps_track(ensemble_2000):
     """Embedding, residuals, and selection for the generator ensemble."""
     import time
     import warnings
-    from genident.dmaps import (dmaps, local_linear_residuals, median_epsilon,
-                                rescale01, select_nonharmonic)
-    from genident.pipeline import Config
+    from genident.pipeline import Config, embed_outputs, select_coordinates
     cfg = Config()
-    params, outputs = ensemble_2000
+    _, outputs = ensemble_2000
     t0 = time.monotonic()
-    ds = rescale01(outputs)
-    eps = median_epsilon(ds, cfg.dmaps_epsilon_mult)
-    emb = dmaps(ds, eps, k=cfg.dmaps_k)
-    rep = local_linear_residuals(emb, cfg.residual_bandwidth_mult,
-                                 max_k=cfg.residual_max_k)
+    emb = embed_outputs(outputs, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sel = select_nonharmonic(rep)
+        rep, sel = select_coordinates(emb, cfg)
     elapsed = time.monotonic() - t0
-    return {"dataset": ds, "epsilon": eps, "embedding": emb,
-            "residuals": rep, "selection": sel, "elapsed": elapsed}
+    return {"embedding": emb, "residuals": rep, "selection": sel, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="session")

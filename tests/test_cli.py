@@ -1,10 +1,14 @@
+import ast
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from genident import cli, pipeline
 from genident.cli import main
+from genident.errors import ChainDivergenceError, SolverError
 from genident.pipeline import Config, load_config, read_csv
 
 
@@ -41,6 +45,17 @@ class TestConfig:
         from genident.errors import DomainError
         with pytest.raises(DomainError):
             load_config(str(p))
+
+    def test_every_key_is_read(self):
+        read = set()
+        for module in (pipeline, cli):
+            with open(module.__file__, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id == "cfg"}
+        unread = {f.name for f in dataclasses.fields(Config)} - read
+        assert not unread, f"config keys nothing reads as cfg.<key>: {sorted(unread)}"
 
 
 class TestCliStages:
@@ -99,3 +114,18 @@ class TestCliStages:
         assert code == 0
         _, pred = read_csv(os.path.join(out, "gh_eval.csv"))
         np.testing.assert_allclose(pred[:, 0], gh_predict(m, X[:5]), rtol=1e-12)
+
+    def test_mbam_forwards_the_geodesic_keys(self, tmp_path, monkeypatch):
+        from genident import geodesics
+        calls = []
+
+        def step(flags, grid, **options):
+            calls.append(options)
+            raise SolverError("recorded")
+
+        monkeypatch.setattr(geodesics, "mbam_step", step)
+        cfg = Config(geo_vel_ratio=500.0, geo_log_bound=12.0, geo_rtol=1e-3)
+        with pytest.raises(ChainDivergenceError):
+            pipeline.stage_mbam(cfg, str(tmp_path))
+        assert calls == [{"iq_form": cfg.iq_form, "vel_ratio": 500.0,
+                          "log_bound": 12.0, "rtol": 1e-3}]

@@ -206,7 +206,7 @@ class TestMbamChain:
         trace = GeodesicTrace(np.array([0.0, 1.0]), np.zeros((2, len(names))),
                               np.ones((2, len(names))), "boundary", names)
 
-        def step(flags, grid, iq_form):
+        def step(flags, grid, **options):
             if flags.count() == 0:
                 return BoundaryDiagnosis("D", "to_zero", 4e-5, 1.0), flags.with_next(), trace
             raise ChainDivergenceError("off chain",
