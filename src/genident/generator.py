@@ -317,8 +317,9 @@ def _stator(delta, x: dict, b, flags: LimitFlags, iq_form: str):
     Returns (v_d, v_q, i_d, i_q, P_g, eq2, ed2).
     """
     c = DEFAULT_CONSTANTS
-    v_d = c.V * np.sin(delta - c.vartheta)
-    v_q = c.V * np.cos(delta - c.vartheta)
+    angle = delta - c.vartheta
+    v_d = c.V * np.sin(angle)
+    v_q = c.V * np.cos(angle)
     if flags.tdpp_zero:
         # e''_q = e'_q - (x'_d - x''_d) i_d closed under i_d = (e''_q - v_q)/x''_d
         eq2 = (b["x_d2"] * x["eq1"] + (b["x_d1"] - b["x_d2"]) * v_q) / b["x_d1"]
@@ -347,12 +348,13 @@ def _emf_rates(x: dict, alg, b, flags: LimitFlags) -> list:
     the order of ``flags.dynamic_states()``.
     """
     _, _, i_d, i_q, _, eq2, ed2 = alg
-    rates = [(-x["eq1"] - (b["x_d"] - b["x_d1"]) * i_d + DEFAULT_CONSTANTS.v_f0) / b["T_d01"],
-             (-x["ed1"] + (b["x_q"] - b["x_q1"]) * i_q) / b["T_q01"]]
+    g = b["gaps"]
+    rates = [(-x["eq1"] - g[0] * i_d + DEFAULT_CONSTANTS.v_f0) / b["T_d01"],
+             (-x["ed1"] + g[1] * i_q) / b["T_q01"]]
     if not flags.tdpp_zero:
-        rates.append((-eq2 + x["eq1"] - (b["x_d1"] - b["x_d2"]) * i_d) / b["T_d02"])
+        rates.append((-eq2 + x["eq1"] - g[2] * i_d) / b["T_d02"])
     if not flags.tqpp_zero:
-        rates.append((-ed2 + x["ed1"] + (b["x_q1"] - b["x_q2"]) * i_q) / b["T_q02"])
+        rates.append((-ed2 + x["ed1"] + g[3] * i_q) / b["T_q02"])
     return rates
 
 
@@ -364,8 +366,12 @@ def _bare_arrays(ps: np.ndarray, flags: LimitFlags) -> dict:
     their limit flag is set.
     """
     H, D, dx1, *rest = ps.T
-    return _bare(H, np.zeros_like(D) if flags.d_zero else D,
-                 np.zeros_like(dx1) if flags.dx1_zero else dx1, *rest)
+    b = _bare(H, np.zeros_like(D) if flags.d_zero else D,
+              np.zeros_like(dx1) if flags.dx1_zero else dx1, *rest)
+    # the reactance differences the EMF equations use, formed once per block
+    b["gaps"] = np.array((b["x_d"] - b["x_d1"], b["x_q"] - b["x_q1"],
+                          b["x_d1"] - b["x_d2"], b["x_q1"] - b["x_q2"]))
+    return b
 
 
 def algebraic_eval(s: StateVector, b: BareParams, iq_form: str = IQ_STANDARD) -> AlgebraicVars:
@@ -383,21 +389,28 @@ def algebraic_eval(s: StateVector, b: BareParams, iq_form: str = IQ_STANDARD) ->
     return AlgebraicVars(float(v_d), float(v_q), float(i_d), float(i_q), float(P_g))
 
 
-def _full_rhs(t, y, b, n, flags, iq_form):
-    """Right-hand side of the sixth-order model, vectorized over n parameter sets."""
-    c = DEFAULT_CONSTANTS
-    s = y.reshape(n, 6)
-    x = dict(zip(STATE_NAMES, s.T))
-    alg = _stator(x["delta"], x, b, flags, iq_form)
-    out = np.empty_like(s)
-    out[:, 0] = c.omega_b * (x["omega"] - c.omega_0)
-    acc = c.P_m - alg[4]
-    if not np.all(b["D"] == 0):
-        acc = acc - b["D"] * (x["omega"] - c.omega_0)
-    out[:, 1] = acc / b["H"]
-    for j, rate in enumerate(_emf_rates(x, alg, b, flags), start=2):
-        out[:, j] = rate
-    return out.ravel()
+class _FullRHS:
+    """RHS of the sixth-order model, vectorized over n parameter sets."""
+
+    def __init__(self, b, n, flags: LimitFlags, iq_form: str):
+        self.b, self.n, self.flags, self.iq_form = b, n, flags, iq_form
+        self.damped = not np.all(b["D"] == 0)
+
+    def __call__(self, t, y):
+        c, b = DEFAULT_CONSTANTS, self.b
+        s = y.reshape(self.n, 6)
+        x = dict(zip(STATE_NAMES, s.T))
+        alg = _stator(x["delta"], x, b, self.flags, self.iq_form)
+        out = np.empty_like(s)
+        slip = x["omega"] - c.omega_0
+        out[:, 0] = c.omega_b * slip
+        acc = c.P_m - alg[4]
+        if self.damped:
+            acc = acc - b["D"] * slip
+        out[:, 1] = acc / b["H"]
+        for j, rate in enumerate(_emf_rates(x, alg, b, self.flags), start=2):
+            out[:, j] = rate
+        return out.ravel()
 
 
 class _InertiaLimitRHS:
@@ -416,7 +429,10 @@ class _InertiaLimitRHS:
         x = dict(zip(self.names, y.reshape(self.n, len(self.names)).T))
         self.delta = solve_power_angle(x, self.b, self.flags, self.iq_form, guess=self.delta)
         alg = _stator(self.delta, x, self.b, self.flags, self.iq_form)
-        return np.column_stack(_emf_rates(x, alg, self.b, self.flags)).ravel()
+        out = np.empty((self.n, len(self.names)))
+        for j, rate in enumerate(_emf_rates(x, alg, self.b, self.flags)):
+            out[:, j] = rate
+        return out.ravel()
 
 
 def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None,
@@ -429,38 +445,44 @@ def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None,
     or parameter sets x time nodes), broadcast against the bare arrays.
     """
     c = DEFAULT_CONSTANTS
-    shape = np.broadcast_shapes(np.shape(st["eq1"]), np.shape(b["x_d2"]))
-    lo = np.full(shape, c.vartheta + 1e-12)
-    hi = np.full(shape, c.vartheta + math.pi / 2 - 1e-12)
+    shape = np.broadcast(st["eq1"], b["x_d2"]).shape
+    bracket = np.empty((2,) + shape)
+    bracket[0] = c.vartheta + 1e-12
+    bracket[1] = c.vartheta + math.pi / 2 - 1e-12
 
     def residual(delta):
         return _stator(delta, st, b, flags, iq_form)[4] - c.P_m
 
-    r_lo, r_hi = residual(lo), residual(hi)
-    if np.any(r_lo * r_hi > 0):
+    # the residual is elementwise, so stacked angle arrays share one evaluation
+    r_lo, r_hi = residual(bracket)
+    if (r_lo * r_hi > 0).any():
         bad = float(np.min(np.minimum(np.abs(r_lo), np.abs(r_hi))[r_lo * r_hi > 0]))
         raise SolverError("power balance has no root on the operating branch",
                           residual=bad)
-    delta = np.clip(np.full(shape, 0.8) if guess is None
-                    else np.broadcast_to(np.asarray(guess, dtype=float), shape).copy(),
-                    lo, hi)
+    lo, hi = bracket[0, ...], bracket[1, ...]  # views, also for 0-d states
+    delta = (np.full(shape, 0.8) if guess is None
+             else np.asarray(guess, dtype=float)).clip(lo, hi)
     r = residual(delta)
+    h = 1e-8
     for _ in range(max_iter):
         conv = np.abs(r) < tol
-        if np.all(conv):
+        if conv.all():
             return delta
-        # keep the bracket current
+        # keep the bracket current (in place: lo and hi are this call's own arrays)
         neg = r < 0
-        lo = np.where(neg, delta, lo)
-        hi = np.where(neg, hi, delta)
-        h = 1e-8
-        dr = (residual(delta + h) - residual(delta - h)) / (2 * h)
+        np.copyto(lo, delta, where=neg)
+        np.copyto(hi, delta, where=~neg)
+        r_plus, r_minus = residual(np.array((delta + h, delta - h)))
+        dr = (r_plus - r_minus) / (2 * h)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(dr != 0, r / dr, np.inf)
         cand = delta - step
         inside = (cand > lo) & (cand < hi) & np.isfinite(cand)
-        cand = np.where(inside, cand, 0.5 * (lo + hi))
-        delta = np.where(conv, delta, cand)
+        # Newton step inside the bracket, else bisection; converged entries stay
+        nxt = np.multiply(0.5, lo + hi, out=np.empty(shape))
+        np.copyto(nxt, cand, where=inside)
+        np.copyto(nxt, delta, where=conv)
+        delta = nxt
         r = residual(delta)
     raise SolverError("power-angle Newton failed to converge",
                       residual=float(np.max(np.abs(r))))
@@ -486,7 +508,7 @@ def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlag
         d = f(0.0, np.concatenate([x[name] for name in f.names]))
         delta = f.delta
     else:
-        d = _full_rhs(0.0, arr, b, 1, flags, iq_form)
+        d = _FullRHS(b, 1, flags, iq_form)(0.0, arr)
         delta = x["delta"]
     P_g = _stator(delta, x, b, flags, iq_form)[4]
     return d, {"power_balance": float(DEFAULT_CONSTANTS.P_m - P_g[0])}
@@ -498,12 +520,10 @@ class Trajectory:
 
     ``at(times)`` reconstructs the full six-component state for every
     parameter set, including algebraically slaved components for reduced
-    models.  ``times``/``states`` hold the accepted solver steps of the first
-    set, which is the common single-trajectory case.
+    models.  ``times`` holds the accepted solver steps, which all sets share.
     """
 
     times: np.ndarray
-    states: np.ndarray  # (n_times, 6) for the first parameter set
     t_span: tuple[float, float]
     n_sets: int
     _evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -547,15 +567,10 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         def evaluator(t):
             return np.broadcast_to(states[:, None, :], (n, len(t), 6)).copy()
 
-        return Trajectory(np.array([t_start]), states[:1].reshape(1, 6),
-                          (t_start, t_end), n, evaluator)
+        return Trajectory(np.array([t_start]), (t_start, t_end), n, evaluator)
 
     # in the inertia limit only the EMF states integrate; the rotor angle is algebraic
-    if flags.h_zero:
-        f = _InertiaLimitRHS(b, n, flags, iq_form)
-    else:
-        def f(t, y):
-            return _full_rhs(t, y, b, n, flags, iq_form)
+    f = (_InertiaLimitRHS if flags.h_zero else _FullRHS)(b, n, flags, iq_form)
     names = flags.dynamic_states()
     y0 = np.tile(x0[[STATE_NAMES.index(nm) for nm in names]], n)
     sol = solve_ivp(f, (t_start, t_end), y0, method="RK45", rtol=rtol, atol=atol,
@@ -567,10 +582,9 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         def evaluator(t):
             return sol.sol(t).reshape(n, 6, len(t)).transpose(0, 2, 1)
 
-        first = sol.sol(sol.t).reshape(n, 6, len(sol.t))[0].T
-        return Trajectory(sol.t.copy(), first, (t_start, t_end), n, evaluator)
+        return Trajectory(sol.t.copy(), (t_start, t_end), n, evaluator)
 
-    b2 = {key: np.asarray(val)[:, None] for key, val in b.items()}  # broadcast over time
+    b2 = {key: np.asarray(val)[..., None] for key, val in b.items()}  # broadcast over time
 
     def slaved(t):
         """Angle, stator algebra and angle rate at all times at once; (n, m) arrays.
@@ -604,8 +618,7 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         full[:, :, 5] = alg[6]
         return full
 
-    first = evaluator(sol.t)[0]
-    return Trajectory(sol.t.copy(), first, (t_start, t_end), n, evaluator)
+    return Trajectory(sol.t.copy(), (t_start, t_end), n, evaluator)
 
 
 def integrate(p: IndependentParams, flags: LimitFlags = LimitFlags(),

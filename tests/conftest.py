@@ -1,5 +1,8 @@
+import multiprocessing
 import os
 import sys
+import time
+import traceback
 
 import pytest
 
@@ -60,13 +63,56 @@ def dmaps_track(ensemble_2000):
     return {"embedding": emb, "residuals": rep, "selection": sel, "elapsed": elapsed}
 
 
+# The reduction ladder is by far the slowest artifact and shares nothing with
+# the others, so it is built in a background process that starts once the
+# session knows a test wants it; those tests run last, and the rest of the
+# suite overlaps the ladder.
+_LADDER_FIXTURES = {"mbam_chain_result", "full_model_geodesic"}
+_ladder = {}
+
+
+def _build_ladder(conn):
+    from genident.geodesics import mbam_chain
+    try:
+        t0 = time.monotonic()
+        chain = mbam_chain(collect_traces=True)
+        conn.send(("ok", (chain, time.monotonic() - t0)))
+    except BaseException:
+        conn.send(("error", traceback.format_exc()))
+    conn.close()
+
+
+def _start_ladder():
+    if "conn" not in _ladder:
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        proc = multiprocessing.Process(target=_build_ladder, args=(sender,), daemon=True)
+        proc.start()
+        sender.close()
+        _ladder.update(conn=receiver, proc=proc)
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_collection_modifyitems(config, items):
+    waiting = {id(item) for item in items if _LADDER_FIXTURES & set(item.fixturenames)}
+    if not waiting or config.option.collectonly:
+        return
+    items.sort(key=lambda item: id(item) in waiting)  # stable: order kept within each part
+    _start_ladder()
+
+
 @pytest.fixture(scope="session")
 def mbam_chain_result():
-    import time
-    from genident.geodesics import mbam_chain
-    t0 = time.monotonic()
-    chain = mbam_chain(collect_traces=True)
-    return chain, time.monotonic() - t0
+    _start_ladder()
+    proc = _ladder["proc"]
+    try:
+        status, value = _ladder["conn"].recv()
+    except EOFError:  # the process died without reporting
+        status, value = "error", ""
+    proc.join()
+    if status != "ok":
+        raise RuntimeError(f"reduction ladder failed in its background process "
+                           f"(exit code {proc.exitcode}):\n{value}")
+    return value
 
 
 @pytest.fixture(scope="session")
