@@ -216,14 +216,20 @@ def dmaps(data: Dataset | np.ndarray, epsilon: float, k: int = 26) -> DMapsEmbed
     return DMapsEmbedding(vals, phi, float(epsilon))
 
 
-def _weights(pred: np.ndarray, bandwidth_mult: float) -> np.ndarray:
+def _weights(pred: np.ndarray, bandwidth_mult: float, iu: tuple) -> np.ndarray:
     d2 = pairwise_sq_dists(pred)
-    iu = np.triu_indices(pred.shape[0], k=1)
-    med = float(np.median(np.sqrt(d2[iu])))
+    # the median of the distances, without a square root of every pair: sqrt
+    # is monotone, so the middle ranks of d^2 are the middle ranks of d
+    pairs = d2[iu]
+    half = pairs.size // 2
+    middle = [half] if pairs.size % 2 else [half - 1, half]
+    pairs.partition(middle)
+    med = float(np.mean(np.sqrt(pairs[middle])))
     if med == 0.0:
         raise DomainError("coincident predictor coordinates")
     sigma = bandwidth_mult * med
-    w = np.exp(-d2 / sigma**2)
+    d2 /= -sigma**2
+    w = np.exp(d2, out=d2)
     np.fill_diagonal(w, 0.0)  # leave-one-out
     return w
 
@@ -239,6 +245,11 @@ def local_linear_residuals(emb: DMapsEmbedding,
     ``Config``'s); a residual near zero marks it as a harmonic of earlier
     coordinates, while a large residual marks a genuinely new direction.
     r_1 = 1 by convention.
+
+    Every row's weighted normal equations come from one matrix product per
+    chunk of 512 rows: the chunk's weights times the packed upper triangle of
+    the predictor products x_j x_l (j <= l) side by side with x_j y, so the
+    Gram stack never holds more than one chunk.
     """
     phi = emb.eigenvectors
     n, total = phi.shape
@@ -249,16 +260,24 @@ def local_linear_residuals(emb: DMapsEmbedding,
     residuals[0] = 1.0
     fallbacks = 0
     chunk = max(1, min(512, n))
+    iu = np.triu_indices(n, k=1)
     for k in range(2, K + 1):
         X = np.column_stack([np.ones(n), phi[:, 1:k]])  # intercept + phi_1..phi_{k-1}
         y = phi[:, k]
-        w = _weights(phi[:, 1:k], bandwidth_mult)
+        w = _weights(phi[:, 1:k], bandwidth_mult, iu)
+        ju, lu = np.triu_indices(k)
+        tri = ju.size
+        products = np.empty((n, tri + k))  # [x_j x_l for j <= l | x_j y]
+        np.multiply(X[:, ju], X[:, lu], out=products[:, :tri])
+        np.multiply(X, y[:, None], out=products[:, tri:])
         yhat = np.empty(n)
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
-            wb = w[lo:hi]  # (b, n)
-            G = np.einsum("bn,nj,nk->bjk", wb, X, X, optimize=True)
-            r = np.einsum("bn,nj,n->bj", wb, X, y, optimize=True)
+            moments = w[lo:hi] @ products  # (b, tri + k)
+            G = np.empty((hi - lo, k, k))
+            G[:, ju, lu] = moments[:, :tri]
+            G[:, lu, ju] = moments[:, :tri]
+            r = moments[:, tri:]
             try:
                 beta = np.linalg.solve(G, r[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:

@@ -435,8 +435,13 @@ class _InertiaLimitRHS:
         return out.ravel()
 
 
-def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None,
-                      tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
+# the power-angle Newton stops once every |P_g - P_m| is below this, and gives
+# up after this many iterations
+_ANGLE_TOL = 1e-12
+_ANGLE_MAX_ITER = 60
+
+
+def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None) -> np.ndarray:
     """Rotor angle(s) satisfying the power balance P_g(delta) = P_m.
 
     Safeguarded Newton with a bisection fallback on the operating branch
@@ -464,8 +469,8 @@ def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None,
              else np.asarray(guess, dtype=float)).clip(lo, hi)
     r = residual(delta)
     h = 1e-8
-    for _ in range(max_iter):
-        conv = np.abs(r) < tol
+    for _ in range(_ANGLE_MAX_ITER):
+        conv = np.abs(r) < _ANGLE_TOL
         if conv.all():
             return delta
         # keep the bracket current (in place: lo and hi are this call's own arrays)

@@ -386,7 +386,9 @@ def stage_residuals(cfg: Config, out_dir: str):
         "gap_ratio": sel.gap_ratio if np.isfinite(sel.gap_ratio) else None,
         "ambiguous": sel.ambiguous,
         "alternate": list(sel.alternate),
+        "ridge_fallbacks": rep.ridge_fallbacks,
     })
+    st.extra["ridge_fallbacks"] = rep.ridge_fallbacks
     if cfg.svg:
         from .svgplot import line_plot
         line_plot(st.path("residuals.svg"), np.asarray(rep.indices, dtype=float),

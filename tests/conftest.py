@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from genident.generator import IndependentParams, LimitFlags, ObservationGrid, integrate
+from genident.generator import IndependentParams, integrate
 from genident.fim import fim, sensitivities, spectrum
 
 # Heavy artifacts (ensemble, embeddings, geodesic chain) are built once per

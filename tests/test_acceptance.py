@@ -9,12 +9,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from genident.generator import (
     IndependentParams,
     LimitFlags,
-    ObservationGrid,
     STATE_NAMES,
     integrate,
 )

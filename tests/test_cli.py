@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import glob
 import json
 import os
 
@@ -57,6 +58,28 @@ class TestConfig:
         unread = {f.name for f in dataclasses.fields(Config)} - read
         assert not unread, f"config keys nothing reads as cfg.<key>: {sorted(unread)}"
 
+    def test_no_unused_imports(self):
+        # the package's __init__ imports only to re-export
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        paths = [p for p in glob.glob(os.path.join(root, "src", "genident", "*.py"))
+                 if os.path.basename(p) != "__init__.py"]
+        paths += glob.glob(os.path.join(root, "tests", "*.py"))
+        unused = []
+        for path in sorted(paths):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update({a.asname or a.name.partition(".")[0]: node.lineno
+                                     for a in node.names})
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported.update({a.asname or a.name: node.lineno for a in node.names})
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{os.path.relpath(path, root)}:{line} {name}"
+                       for name, line in imported.items() if name not in used]
+        assert not unused, f"imported names never used: {unused}"
+
 
 class TestCliStages:
     def test_simulate_writes_trajectory(self, tmp_path, tiny_cfg):
@@ -81,6 +104,12 @@ class TestCliStages:
         spec = json.load(open(os.path.join(out, "spectrum.json")))
         assert len(spec["eigenvalues"]) == 11
         assert os.path.exists(os.path.join(out, "spectrum.svg"))
+        assert main(["dmaps", "--config", tiny_cfg, "--out", out]) == 0
+        assert main(["residuals", "--config", tiny_cfg, "--out", out]) == 0
+        report = json.load(open(os.path.join(out, "residuals.json")))
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        entry = next(s for s in manifest["stages"] if s["stage"] == "residuals")
+        assert entry["ridge_fallbacks"] == report["ridge_fallbacks"] >= 0
 
     def test_rerun_is_byte_identical(self, tmp_path, tiny_cfg):
         out = str(tmp_path / "run")

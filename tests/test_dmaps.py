@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -175,6 +173,42 @@ class TestResiduals:
         assert max(r[k] for k in harmonics) < 0.3
         sel = select_nonharmonic(rep)
         assert set(sel.indices) == {1, short_axis}
+
+    def test_matches_direct_weighted_least_squares(self):
+        # every leave-one-out fit solved on its own: lstsq on sqrt(w)-scaled
+        # rows, with the weights and their median bandwidth built by hand
+        rng = np.random.default_rng(0)
+        R = np.column_stack([rng.uniform(0, 4, 150), rng.uniform(0, 1, 150)])
+        emb = dmaps(R, median_epsilon(R, 0.05), k=8)
+        phi = emb.eigenvectors
+        n = phi.shape[0]
+        rep = local_linear_residuals(emb, bandwidth_mult=0.5)
+        want = [1.0]
+        for k in range(2, 8):
+            X = np.column_stack([np.ones(n), phi[:, 1:k]])
+            y = phi[:, k]
+            d = np.linalg.norm(phi[:, None, 1:k] - phi[None, :, 1:k], axis=2)
+            sigma = 0.5 * np.median(d[np.triu_indices(n, k=1)])
+            yhat = np.empty(n)
+            for i in range(n):
+                sqrt_w = np.exp(-0.5 * (d[i] / sigma) ** 2)
+                sqrt_w[i] = 0.0
+                beta = np.linalg.lstsq(X * sqrt_w[:, None], y * sqrt_w, rcond=None)[0]
+                yhat[i] = X[i] @ beta
+            want.append(min(np.linalg.norm(y - yhat) / np.linalg.norm(y), 1.0))
+        np.testing.assert_allclose(rep.residuals, want, rtol=1e-10, atol=0)
+
+    def test_singular_local_fits_take_the_ridge_fallback(self):
+        # three clusters in phi_1 and a bandwidth far below their spacing:
+        # every row's neighbours share its phi_1, so every local fit is singular
+        from genident.dmaps import DMapsEmbedding
+        phi = np.column_stack([np.ones(60), np.repeat([0.0, 0.5, 1.0], 20),
+                               np.random.default_rng(0).standard_normal(60)])
+        emb = DMapsEmbedding(np.array([1.0, 0.9, 0.8]), phi, 1.0)
+        with pytest.warns(UserWarning, match="ridge fallback"):
+            rep = local_linear_residuals(emb, bandwidth_mult=0.01)
+        assert rep.ridge_fallbacks == 60
+        assert np.all(np.isfinite(rep.residuals))
 
     def test_needs_two_eigenvectors(self):
         from genident.dmaps import DMapsEmbedding

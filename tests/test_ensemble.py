@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from genident.ensemble import (
-    ComparisonReport,
     EnsembleSpec,
     compare_tracks,
     run_ensemble,
@@ -10,7 +9,7 @@ from genident.ensemble import (
 )
 from genident.errors import DomainError
 from genident.fim import fim, model_map, spectrum, central_difference_jacobian
-from genident.generator import IndependentParams, ObservationGrid, PARAM_NAMES
+from genident.generator import IndependentParams
 
 NOM = IndependentParams.nominal().to_array()
 

@@ -12,7 +12,7 @@ from genident.fim import (
     sensitivities,
     spectrum,
 )
-from genident.generator import IndependentParams, LimitFlags, ObservationGrid
+from genident.generator import IndependentParams, LimitFlags
 
 NOM = IndependentParams.nominal()
 IDENTIFIABLE = ("dx2", "dx3", "dx4", "xdpp", "dTd", "dTq")
@@ -136,7 +136,7 @@ class TestSpectrum:
         np.testing.assert_allclose(s2.participation, s1.participation, atol=1e-12)
 
     def test_directional_derivative_matches_jacobian(self):
-        from genident.fim import SENSITIVITY_RTOL, generator_map
+        from genident.fim import generator_map
         S = sensitivities(NOM)
         rng = np.random.default_rng(23)
         u = rng.standard_normal(11)
