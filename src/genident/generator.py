@@ -4,7 +4,10 @@ The machine is a sixth-order two-axis model swinging against an ideal bus of
 fixed voltage magnitude and angle.  States are the rotor angle ``delta`` (rad),
 per-unit rotor speed ``omega``, and the four internal EMFs ``eq1`` (e'_q),
 ``ed1`` (e'_d), ``eq2`` (e''_q), ``ed2`` (e''_d).  The stator algebra is
-explicit, so after substitution the model is a plain ODE.
+explicit, so after substitution the full model is a plain ODE.  In the inertia
+limit the swing equation becomes the power balance P_g(delta, x) = P_m, an
+index-1 DAE: the angle integrates with its implicit-function rate and is
+projected back onto the balance at the output times.
 
 A chain of five singular/regular limits (damping -> 0, inertia -> 0, the two
 subtransient time constants -> 0, and x_d -> x_q) reduces the model one
@@ -413,26 +416,28 @@ class _FullRHS:
         return out.ravel()
 
 
-class _InertiaLimitRHS:
-    """RHS of the EMF subsystem for h_zero models.
+# complex-step size for the derivatives of P_g; the real parts stay the plain values
+_CS_STEP = 1e-30
 
-    The rotor angle is algebraic: every call solves the power balance for it,
-    warm-started from the previous call's angle, which ``delta`` keeps.
+
+def _stator_slope(delta, x: dict, b, flags: LimitFlags, iq_form: str):
+    """:func:`_stator` at (delta, x) and dP_g/d(delta), from one complex-step evaluation."""
+    alg = _stator(delta + 1j * _CS_STEP, x, b, flags, iq_form)
+    return [a.real for a in alg], alg[4].imag / _CS_STEP
+
+
+def _angle_rate(delta, x: dict, b, flags: LimitFlags, iq_form: str):
+    """Stator algebra, EMF rates and rotor-angle rate on the power balance.
+
+    The angle rate is the implicit-function derivative of P_g(delta, x) = P_m,
+    d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta)), with dx/dt from the EMF
+    equations and both partials taken by complex step.
     """
-
-    def __init__(self, b, n, flags: LimitFlags, iq_form: str, delta=None):
-        self.b, self.n, self.flags, self.iq_form = b, n, flags, iq_form
-        self.names = flags.dynamic_states()
-        self.delta = delta
-
-    def __call__(self, t, y):
-        x = dict(zip(self.names, y.reshape(self.n, len(self.names)).T))
-        self.delta = solve_power_angle(x, self.b, self.flags, self.iq_form, guess=self.delta)
-        alg = _stator(self.delta, x, self.b, self.flags, self.iq_form)
-        out = np.empty((self.n, len(self.names)))
-        for j, rate in enumerate(_emf_rates(x, alg, self.b, self.flags)):
-            out[:, j] = rate
-        return out.ravel()
+    alg, dP_delta = _stator_slope(delta, x, b, flags, iq_form)
+    rates = _emf_rates(x, alg, b, flags)
+    moved = {nm: x[nm] + 1j * _CS_STEP * r for nm, r in zip(flags.dynamic_states(), rates)}
+    dP_x = _stator(delta, moved, b, flags, iq_form)[4].imag / _CS_STEP
+    return alg, rates, -dP_x / dP_delta
 
 
 # the power-angle Newton stops once every |P_g - P_m| is below this, and gives
@@ -444,8 +449,8 @@ _ANGLE_MAX_ITER = 60
 def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None) -> np.ndarray:
     """Rotor angle(s) satisfying the power balance P_g(delta) = P_m.
 
-    Safeguarded Newton with a bisection fallback on the operating branch
-    delta in (vartheta, vartheta + pi/2), warm-started from ``guess``.
+    Safeguarded Newton (slope by complex step) with a bisection fallback on
+    the operating branch delta in (vartheta, vartheta + pi/2), from ``guess``.
     Fully vectorized: the state arrays may carry any shape (parameter sets,
     or parameter sets x time nodes), broadcast against the bare arrays.
     """
@@ -455,11 +460,12 @@ def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None) 
     bracket[0] = c.vartheta + 1e-12
     bracket[1] = c.vartheta + math.pi / 2 - 1e-12
 
-    def residual(delta):
-        return _stator(delta, st, b, flags, iq_form)[4] - c.P_m
+    def residual(delta):  # P_g - P_m and its slope in delta
+        alg, slope = _stator_slope(delta, st, b, flags, iq_form)
+        return alg[4] - c.P_m, slope
 
     # the residual is elementwise, so stacked angle arrays share one evaluation
-    r_lo, r_hi = residual(bracket)
+    r_lo, r_hi = residual(bracket)[0]
     if (r_lo * r_hi > 0).any():
         bad = float(np.min(np.minimum(np.abs(r_lo), np.abs(r_hi))[r_lo * r_hi > 0]))
         raise SolverError("power balance has no root on the operating branch",
@@ -467,8 +473,7 @@ def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None) 
     lo, hi = bracket[0, ...], bracket[1, ...]  # views, also for 0-d states
     delta = (np.full(shape, 0.8) if guess is None
              else np.asarray(guess, dtype=float)).clip(lo, hi)
-    r = residual(delta)
-    h = 1e-8
+    r, dr = residual(delta)
     for _ in range(_ANGLE_MAX_ITER):
         conv = np.abs(r) < _ANGLE_TOL
         if conv.all():
@@ -477,8 +482,6 @@ def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None) 
         neg = r < 0
         np.copyto(lo, delta, where=neg)
         np.copyto(hi, delta, where=~neg)
-        r_plus, r_minus = residual(np.array((delta + h, delta - h)))
-        dr = (r_plus - r_minus) / (2 * h)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(dr != 0, r / dr, np.inf)
         cand = delta - step
@@ -488,7 +491,7 @@ def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None) 
         np.copyto(nxt, cand, where=inside)
         np.copyto(nxt, delta, where=conv)
         delta = nxt
-        r = residual(delta)
+        r, dr = residual(delta)
     raise SolverError("power-angle Newton failed to converge",
                       residual=float(np.max(np.abs(r))))
 
@@ -499,24 +502,23 @@ def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlag
 
     For models without the inertia limit this returns the six-component
     derivative of the full state.  Once ``h_zero`` is set, the rotor angle is
-    algebraic and the derivative covers only the remaining EMF states (in the
-    order given by ``flags.dynamic_states()``).  In both cases the returned
-    residual dict reports the power-balance defect ``P_m - P_g`` (at the
-    solved angle once ``h_zero`` is set).  The derivative is the right-hand
-    side that :func:`integrate_batch` integrates.
+    algebraic: it is solved from the power balance, and the derivative covers
+    only the remaining EMF states (in the order given by
+    ``flags.dynamic_states()``).  In both cases the returned residual dict
+    reports the power-balance defect ``P_m - P_g`` (at the solved angle once
+    ``h_zero`` is set).
     """
     b = _bare_arrays(p.to_array()[None, :], flags)
     arr = np.asarray(s.to_array() if isinstance(s, StateVector) else s, dtype=float)
     x = {name: arr[i:i + 1] for i, name in enumerate(STATE_NAMES)}
     if flags.h_zero:
-        f = _InertiaLimitRHS(b, 1, flags, iq_form, delta=arr[:1] if arr[0] > 0 else None)
-        d = f(0.0, np.concatenate([x[name] for name in f.names]))
-        delta = f.delta
+        delta = solve_power_angle(x, b, flags, iq_form, guess=arr[:1] if arr[0] > 0 else None)
+        alg = _stator(delta, x, b, flags, iq_form)
+        d = np.concatenate(_emf_rates(x, alg, b, flags))
     else:
         d = _FullRHS(b, 1, flags, iq_form)(0.0, arr)
-        delta = x["delta"]
-    P_g = _stator(delta, x, b, flags, iq_form)[4]
-    return d, {"power_balance": float(DEFAULT_CONSTANTS.P_m - P_g[0])}
+        alg = _stator(x["delta"], x, b, flags, iq_form)
+    return d, {"power_balance": float(DEFAULT_CONSTANTS.P_m - alg[4][0])}
 
 
 @dataclass(frozen=True)
@@ -553,7 +555,10 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
 
     Sharing the step sequence keeps the members' integration errors strongly
     correlated, which is what makes finite-difference sensitivities of the
-    observed outputs accurate well below the raw solver tolerance.
+    observed outputs accurate well below the raw solver tolerance.  In the
+    inertia limit the rotor angle starts from one power-angle solve and is
+    integrated with the EMFs; the returned trajectory projects it back onto
+    the power balance, with one more solve per evaluation.
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if not np.all(np.isfinite(params)) or np.any(params < 0):
@@ -574,10 +579,34 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
 
         return Trajectory(np.array([t_start]), (t_start, t_end), n, evaluator)
 
-    # in the inertia limit only the EMF states integrate; the rotor angle is algebraic
-    f = (_InertiaLimitRHS if flags.h_zero else _FullRHS)(b, n, flags, iq_form)
-    names = flags.dynamic_states()
-    y0 = np.tile(x0[[STATE_NAMES.index(nm) for nm in names]], n)
+    if flags.h_zero:
+        # index-1 DAE: the rotor angle integrates ahead of the EMF states with its
+        # implicit-function rate, from an angle solved onto the power balance
+        names = flags.dynamic_states()
+        k = 1 + len(names)
+        b2 = {key: np.asarray(val)[..., None] for key, val in b.items()}  # broadcast over time
+
+        def project(s):
+            """(n, m) EMFs, angle projected back onto P_g = P_m (warm-started from
+            the integrated one), stator algebra and angle rate from (n, k, m) states."""
+            x = dict(zip(names, s[:, 1:].transpose(1, 0, 2)))
+            delta = solve_power_angle(x, b2, flags, iq_form, guess=s[:, 0])
+            alg, _, ddelta = _angle_rate(delta, x, b2, flags, iq_form)
+            return x, delta, alg, ddelta
+
+        s0 = np.tile(x0[[0] + [STATE_NAMES.index(nm) for nm in names]], (n, 1))[..., None]
+        # consistent start; rotor speed follows the angle's rate from its supplied value
+        _, s0[:, 0], _, ddelta0 = project(s0)
+        y0 = s0.ravel()
+
+        def f(t, y):
+            s = y.reshape(n, k)
+            _, rates, ddelta = _angle_rate(s[:, 0], dict(zip(names, s[:, 1:].T)), b, flags,
+                                           iq_form)
+            return np.array((ddelta, *rates)).T.ravel()
+    else:
+        f = _FullRHS(b, n, flags, iq_form)
+        y0 = np.tile(x0, n)
     sol = solve_ivp(f, (t_start, t_end), y0, method="RK45", rtol=rtol, atol=atol,
                     dense_output=True, first_step=1e-4, max_step=0.05)
     if sol.status != 0:
@@ -589,39 +618,10 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
 
         return Trajectory(sol.t.copy(), (t_start, t_end), n, evaluator)
 
-    b2 = {key: np.asarray(val)[..., None] for key, val in b.items()}  # broadcast over time
-
-    def slaved(t):
-        """Angle, stator algebra and angle rate at all times at once; (n, m) arrays.
-
-        The rate is the implicit-function derivative of P_g(delta, x) = P_m,
-        d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta)), with dx/dt from the
-        EMF equations and both partials taken by complex step.
-        """
-        s = sol.sol(t).reshape(n, len(names), len(t))
-        x = dict(zip(names, s.transpose(1, 0, 2)))
-        delta = solve_power_angle(x, b2, flags, iq_form)
-        alg = _stator(delta, x, b2, flags, iq_form)
-        h = 1e-30
-        moved = {nm: x[nm] + 1j * h * r
-                 for nm, r in zip(names, _emf_rates(x, alg, b2, flags))}
-        dP_x = _stator(delta, moved, b2, flags, iq_form)[4].imag / h
-        dP_delta = _stator(delta + 1j * h, x, b2, flags, iq_form)[4].imag / h
-        return x, delta, alg, -dP_x / dP_delta
-
-    # rotor speed follows the angle's rate, anchored to its supplied initial value
-    ddelta0 = slaved(np.array([t_start]))[3]  # (n, 1)
-
     def evaluator(t):
-        x, delta, alg, ddelta = slaved(t)
-        full = np.empty((n, len(t), 6))
-        full[:, :, 0] = delta
-        full[:, :, 1] = ics.omega + (ddelta - ddelta0) / DEFAULT_CONSTANTS.omega_b
-        full[:, :, 2] = x["eq1"]
-        full[:, :, 3] = x["ed1"]
-        full[:, :, 4] = alg[5]
-        full[:, :, 5] = alg[6]
-        return full
+        x, delta, alg, ddelta = project(sol.sol(t).reshape(n, k, len(t)))
+        omega = ics.omega + (ddelta - ddelta0) / DEFAULT_CONSTANTS.omega_b
+        return np.stack((delta, omega, x["eq1"], x["ed1"], alg[5], alg[6]), axis=-1)
 
     return Trajectory(sol.t.copy(), (t_start, t_end), n, evaluator)
 

@@ -12,6 +12,16 @@ from genident.cli import main
 from genident.errors import ChainDivergenceError, SolverError
 from genident.pipeline import Config, load_config, read_csv
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _parsed(*patterns):
+    """(path, syntax tree) of every file under the repository root matching a pattern."""
+    for pattern in patterns:
+        for path in sorted(glob.glob(os.path.join(ROOT, pattern), recursive=True)):
+            with open(path, encoding="utf-8") as fh:
+                yield path, ast.parse(fh.read())
+
 
 @pytest.fixture()
 def tiny_cfg(tmp_path):
@@ -59,15 +69,10 @@ class TestConfig:
         assert not unread, f"config keys nothing reads as cfg.<key>: {sorted(unread)}"
 
     def test_no_unused_imports(self):
-        # the package's __init__ imports only to re-export
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        paths = [p for p in glob.glob(os.path.join(root, "src", "genident", "*.py"))
-                 if os.path.basename(p) != "__init__.py"]
-        paths += glob.glob(os.path.join(root, "tests", "*.py"))
         unused = []
-        for path in sorted(paths):
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
+        for path, tree in _parsed("src/genident/*.py", "tests/*.py"):
+            if path.endswith("__init__.py"):  # it imports only to re-export
+                continue
             imported = {}
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
@@ -76,9 +81,34 @@ class TestConfig:
                 elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                     imported.update({a.asname or a.name: node.lineno for a in node.names})
             used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            unused += [f"{os.path.relpath(path, root)}:{line} {name}"
+            unused += [f"{os.path.relpath(path, ROOT)}:{line} {name}"
                        for name, line in imported.items() if name not in used]
         assert not unused, f"imported names never used: {unused}"
+
+    def test_every_module_level_name_is_referenced(self):
+        # functions, classes and constants of the package; an import (a re-export) is no use
+        defined = {}
+        for path, tree in _parsed("src/genident/*.py"):
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                defined.update({name: f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+                                for name in names if not name.startswith("__")})
+        used = set()
+        for _, tree in _parsed("src/**/*.py", "tests/**/*.py", "demos/**/*.py",
+                               "benchmarks/**/*.py"):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+        assert not unused, f"module-level names nothing references: {unused}"
 
 
 class TestCliStages:

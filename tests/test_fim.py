@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,11 @@ from genident.fim import (
     sensitivities,
     spectrum,
 )
-from genident.generator import IndependentParams, LimitFlags
+from genident.generator import LIMIT_CHAIN, IndependentParams, LimitFlags
 
 NOM = IndependentParams.nominal()
 IDENTIFIABLE = ("dx2", "dx3", "dx4", "xdpp", "dTd", "dTq")
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "reference.json")
 
 
 class TestModelMap:
@@ -148,6 +152,17 @@ class TestSpectrum:
         dd = (Y[0] - Y[1]) / (2 * h)
         Ju = S.entries @ u
         assert np.linalg.norm(dd - Ju) / np.linalg.norm(Ju) < 1e-4
+
+
+class TestLadderSpectra:
+    @pytest.mark.parametrize("n", range(len(LIMIT_CHAIN) + 1))
+    def test_matches_the_benchmark_reference(self, n):
+        # the benchmark's rule: rtol 1e-4, atol 1e-12 of the largest reference value
+        with open(REFERENCE, encoding="utf-8") as fh:
+            ref = np.asarray(json.load(fh)["ladder-probe"][f"fim_eigenvalues_first{n}"])
+        S = sensitivities(NOM, LimitFlags.first(n))
+        got = spectrum(fim(S), S.param_names).eigenvalues
+        np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-12 * np.abs(ref).max())
 
 
 class TestEffectiveDimension:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from genident import generator
 from genident.errors import DomainError
 from genident.generator import (
     DEFAULT_CONSTANTS,
@@ -265,6 +266,30 @@ class TestReducedModel:
         np.testing.assert_allclose(omega - omega[0],
                                    (rate - rate[0]) / DEFAULT_CONSTANTS.omega_b,
                                    rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("flags", [LimitFlags.first(2), LimitFlags.all()],
+                             ids=["first2", "all"])
+    def test_angle_is_not_solved_per_step(self, flags, monkeypatch):
+        calls = []
+        solve = generator.solve_power_angle
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "solve_power_angle", counted)
+        traj = integrate(NOM, flags)
+        observe(traj)
+        assert len(traj.times) > 50
+        assert len(calls) <= 3, f"{len(calls)} angle solves for {len(traj.times)} steps"
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_outputs_converge_to_a_tight_solve(self, n):
+        flags = LimitFlags.first(n)
+        tight = observe(integrate(NOM, flags, rtol=1e-12, atol=1e-12))
+        for r in (1e-7, 1e-9):
+            err = np.abs(observe(integrate(NOM, flags, rtol=r, atol=r)) - tight).max()
+            assert err <= 10 * r, f"rtol {r:g}: max abs error {err:.3e}"
 
     def test_rhs_covers_the_emf_states_at_power_balance(self):
         d, res = rhs(StateVector(), NOM, LimitFlags.first(2))
