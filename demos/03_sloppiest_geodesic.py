@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from genident.fim import central_difference_jacobian, fim, generator_map, spectrum
+from genident.fim import fim, generator_map, sensitivities, spectrum
 from genident.generator import IndependentParams, LimitFlags
 from genident.geodesics import (
     GeodesicState,
@@ -25,11 +25,11 @@ from genident.geodesics import (
 from genident.svgplot import line_plot
 
 f = generator_map(LimitFlags())
-names = LimitFlags().active_params()
+S = sensitivities(IndependentParams.nominal())
+names = S.param_names
 theta0 = np.log(IndependentParams.nominal().to_array())
 
-J = central_difference_jacobian(f, theta0, 1e-4)
-sp = spectrum(fim(J), names)
+sp = spectrum(fim(S), names)
 sqrt_lmin = math.sqrt(sp.eigenvalues[-1])
 print(f"sqrt(lambda_min) = {sqrt_lmin:.3e}")
 

@@ -13,7 +13,6 @@ from .errors import DomainError, SolverError
 from .fim import InfoSpectrum, effective_dimension
 from .generator import (
     DEFAULT_GRID,
-    IQ_STANDARD,
     PARAM_NAMES,
     IndependentParams,
     ObservationGrid,
@@ -86,17 +85,16 @@ def sample_ensemble(spec: EnsembleSpec) -> np.ndarray:
 
 
 def _run_chunk(args):
-    idx, ps, grid, rtol, iq_form = args
+    idx, ps, grid, rtol = args
     try:
-        traj = integrate_batch(ps, t_end=grid.t_end, rtol=rtol, atol=rtol, iq_form=iq_form)
+        traj = integrate_batch(ps, t_end=grid.t_end, rtol=rtol, atol=rtol)
         return idx, np.atleast_2d(observe(traj, grid)), []
     except (SolverError, DomainError):
         # retry row by row so one bad member does not sink the chunk
         outs, failed = [], []
         for r in range(ps.shape[0]):
             try:
-                traj = integrate_batch(ps[r:r + 1], t_end=grid.t_end,
-                                       rtol=rtol, atol=rtol, iq_form=iq_form)
+                traj = integrate_batch(ps[r:r + 1], t_end=grid.t_end, rtol=rtol, atol=rtol)
                 outs.append(np.atleast_2d(observe(traj, grid)))
             except (SolverError, DomainError):
                 failed.append(r)
@@ -106,8 +104,7 @@ def _run_chunk(args):
 
 def run_ensemble(params: np.ndarray, grid: ObservationGrid = DEFAULT_GRID,
                  workers: int = 1, *,
-                 rtol: float = 1e-7, iq_form: str = IQ_STANDARD,
-                 max_failure_frac: float = 0.01) -> EnsembleRun:
+                 rtol: float = 1e-7, max_failure_frac: float = 0.01) -> EnsembleRun:
     """Observed full-model output for every parameter row.
 
     Rows are integrated in fixed-size shared-step chunks, so the result is
@@ -116,7 +113,7 @@ def run_ensemble(params: np.ndarray, grid: ObservationGrid = DEFAULT_GRID,
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     n = params.shape[0]
-    tasks = [(lo, params[lo:lo + _CHUNK], grid, rtol, iq_form)
+    tasks = [(lo, params[lo:lo + _CHUNK], grid, rtol)
              for lo in range(0, n, _CHUNK)]
     results = {}
     if workers > 1 and len(tasks) > 1:

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DomainError
 from .generator import (
     DEFAULT_GRID,
-    IQ_STANDARD,
     PARAM_NAMES,
     IndependentParams,
     LimitFlags,
@@ -29,27 +28,30 @@ __all__ = [
     "SensitivityMatrix",
     "FIMatrix",
     "InfoSpectrum",
-    "NoisyData",
     "model_map",
     "generator_map",
+    "central_points",
+    "central_columns",
     "central_difference_jacobian",
     "sensitivities",
     "fim",
     "spectrum",
     "effective_dimension",
-    "add_noise",
+    "JAC_STEP",
     "SENSITIVITY_RTOL",
 ]
 
+#: central-difference step of the sensitivity Jacobian (log-parameter units)
+JAC_STEP = 1e-4
+
 # tolerance used for derivative-quality integrations; tighter than a plain
-# trajectory run so truncation of the h = 1e-4 differences stays dominant
+# trajectory run so truncation of the JAC_STEP differences stays dominant
 SENSITIVITY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SensitivityMatrix:
     entries: np.ndarray  # (M, n_params), log-parameter columns
-    step: float
     param_names: tuple[str, ...]
 
     def __post_init__(self):
@@ -83,19 +85,13 @@ class InfoSpectrum:
                 for i, name in enumerate(self.param_names)}
 
 
-@dataclass(frozen=True)
-class NoisyData:
-    values: np.ndarray
-    sigma: float
-
-
-def generator_map(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_GRID,
-                  rtol: float = SENSITIVITY_RTOL,
-                  iq_form: str = IQ_STANDARD) -> Callable[[np.ndarray], np.ndarray]:
+def generator_map(flags: LimitFlags = LimitFlags(),
+                  grid: ObservationGrid = DEFAULT_GRID) -> Callable[[np.ndarray], np.ndarray]:
     """Batched map from log-parameter rows (of the active parameters) to outputs.
 
     The returned callable accepts a (k, n_active) array of log-parameters and
-    returns (k, M) outputs, integrating all rows in one shared-step solve.
+    returns (k, M) outputs, integrating all rows in one shared-step solve at
+    the tolerance :data:`SENSITIVITY_RTOL`.
     Inactive (flagged-away) parameters are held at their nominal values, which
     is immaterial because the flagged equations do not reference them.
     """
@@ -107,8 +103,8 @@ def generator_map(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFA
         lt = np.atleast_2d(np.asarray(log_theta, dtype=float))
         ps = np.tile(nominal, (lt.shape[0], 1))
         ps[:, idx] = np.exp(lt)
-        traj = integrate_batch(ps, flags, t_end=grid.t_end, rtol=rtol, atol=rtol,
-                               iq_form=iq_form)
+        traj = integrate_batch(ps, flags, t_end=grid.t_end, rtol=SENSITIVITY_RTOL,
+                               atol=SENSITIVITY_RTOL)
         out = observe(traj, grid)
         return np.atleast_2d(out)
 
@@ -118,10 +114,25 @@ def generator_map(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFA
 
 
 def model_map(p: IndependentParams, flags: LimitFlags = LimitFlags(),
-              grid: ObservationGrid = DEFAULT_GRID, *, iq_form: str = IQ_STANDARD) -> np.ndarray:
+              grid: ObservationGrid = DEFAULT_GRID) -> np.ndarray:
     """Concatenated observation vector for one parameter set (deterministic)."""
-    traj = integrate_batch(p.to_array()[None, :], flags, t_end=grid.t_end, iq_form=iq_form)
+    traj = integrate_batch(p.to_array()[None, :], flags, t_end=grid.t_end)
     return observe(traj, grid)
+
+
+def central_points(x0: np.ndarray, step: float) -> np.ndarray:
+    """The 2n points x0 + step e_j and x0 - step e_j, in that order for each j."""
+    n = x0.size
+    pts = np.repeat(x0[None, :], 2 * n, axis=0)
+    for j in range(n):
+        pts[2 * j, j] += step
+        pts[2 * j + 1, j] -= step
+    return pts
+
+
+def central_columns(Y: np.ndarray, n: int, step: float) -> np.ndarray:
+    """Jacobian columns from a map's rows at the :func:`central_points` of n coordinates."""
+    return np.stack([(Y[2 * j] - Y[2 * j + 1]) / (2 * step) for j in range(n)], axis=1)
 
 
 def central_difference_jacobian(f: Callable[[np.ndarray], np.ndarray],
@@ -133,34 +144,25 @@ def central_difference_jacobian(f: Callable[[np.ndarray], np.ndarray],
     errors.
     """
     x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    pts = np.repeat(x0[None, :], 2 * n, axis=0)
-    for j in range(n):
-        pts[2 * j, j] += step
-        pts[2 * j + 1, j] -= step
-    Y = f(pts)
+    Y = f(central_points(x0, step))
     if not np.all(np.isfinite(Y)):
         raise DomainError("map returned non-finite values at perturbed points")
-    return np.stack([(Y[2 * j] - Y[2 * j + 1]) / (2 * step) for j in range(n)], axis=1)
+    return central_columns(Y, x0.size, step)
 
 
 def sensitivities(p: IndependentParams, flags: LimitFlags = LimitFlags(),
-                  grid: ObservationGrid = DEFAULT_GRID, step: float = 1e-4, *,
-                  rtol: float = SENSITIVITY_RTOL,
-                  iq_form: str = IQ_STANDARD) -> SensitivityMatrix:
+                  grid: ObservationGrid = DEFAULT_GRID) -> SensitivityMatrix:
     """Output sensitivities with respect to the active log-parameters.
 
-    Column j is (Y(theta * exp(+h e_j)) - Y(theta * exp(-h e_j))) / 2h.
+    Column j is (Y(theta * exp(+h e_j)) - Y(theta * exp(-h e_j))) / 2h, with
+    h = :data:`JAC_STEP`.
     """
-    if step <= 0:
-        raise DomainError("step must be positive")
     active = flags.active_params()
     theta = np.array([getattr(p, nm) for nm in active])
     if np.any(theta <= 0):
         raise DomainError("log-parameter differencing requires strictly positive parameters")
-    f = generator_map(flags, grid, rtol=rtol, iq_form=iq_form)
-    J = central_difference_jacobian(f, np.log(theta), step)
-    return SensitivityMatrix(J, step, active)
+    J = central_difference_jacobian(generator_map(flags, grid), np.log(theta), JAC_STEP)
+    return SensitivityMatrix(J, active)
 
 
 def fim(J: SensitivityMatrix | np.ndarray) -> FIMatrix:
@@ -197,14 +199,3 @@ def effective_dimension(s: InfoSpectrum, cutoff: float = 1e-2) -> int:
     if cutoff <= 0:
         raise DomainError("cutoff must be positive")
     return int(np.sum(s.eigenvalues > cutoff))
-
-
-def add_noise(y: np.ndarray, sigma: float, seed: int = 0) -> NoisyData:
-    """Observation vector plus i.i.d. zero-mean Gaussian noise, seeded."""
-    if sigma < 0:
-        raise DomainError("sigma must be >= 0")
-    y = np.asarray(y, dtype=float)
-    if sigma == 0:
-        return NoisyData(y.copy(), 0.0)
-    rng = np.random.default_rng(seed)
-    return NoisyData(y + sigma * rng.standard_normal(y.shape), sigma)

@@ -3,10 +3,11 @@
 The machine is a sixth-order two-axis model swinging against an ideal bus of
 fixed voltage magnitude and angle.  States are the rotor angle ``delta`` (rad),
 per-unit rotor speed ``omega``, and the four internal EMFs ``eq1`` (e'_q),
-``ed1`` (e'_d), ``eq2`` (e''_q), ``ed2`` (e''_d).  The stator algebra is
-explicit, so after substitution the full model is a plain ODE.  In the inertia
-limit the swing equation becomes the power balance P_g(delta, x) = P_m, an
-index-1 DAE: the angle integrates with its implicit-function rate and is
+``ed1`` (e'_d), ``eq2`` (e''_q), ``ed2`` (e''_d).  The stator algebra is the
+standard two-axis form (Sauer & Pai, 1998), i_d from e''_q and i_q from e''_d;
+it is explicit, so after substitution the full model is a plain ODE.  In the
+inertia limit the swing equation becomes the power balance P_g(delta, x) = P_m,
+an index-1 DAE: the angle integrates with its implicit-function rate and is
 projected back onto the balance at the output times.
 
 A chain of five singular/regular limits (damping -> 0, inertia -> 0, the two
@@ -68,10 +69,6 @@ LIMIT_REMOVES = {
     "tqpp_zero": "Tqpp",
     "dx1_zero": "dx1",
 }
-
-IQ_STANDARD = "standard"
-IQ_AS_PRINTED = "as-printed"
-
 
 @dataclass(frozen=True)
 class Constants:
@@ -246,10 +243,6 @@ class LimitFlags:
             )
 
     @classmethod
-    def none(cls) -> "LimitFlags":
-        return cls()
-
-    @classmethod
     def all(cls) -> "LimitFlags":
         return cls(True, True, True, True, True)
 
@@ -312,7 +305,7 @@ DEFAULT_GRID = ObservationGrid()
 # the model: stator algebra, EMF equations, parameter map
 # ---------------------------------------------------------------------------
 
-def _stator(delta, x: dict, b, flags: LimitFlags, iq_form: str):
+def _stator(delta, x: dict, b, flags: LimitFlags):
     """Stator algebra at rotor angle(s) ``delta``, for scalars or arrays.
 
     ``x`` maps state names to values; e''_q and e''_d are read from it unless
@@ -329,17 +322,12 @@ def _stator(delta, x: dict, b, flags: LimitFlags, iq_form: str):
     else:
         eq2 = x["eq2"]
     i_d = (eq2 - v_q) / b["x_d2"]
-    if iq_form == IQ_AS_PRINTED:
-        i_q = (v_d - eq2) / b["x_q2"]
-        # printed i_q has no e''_d dependence, so the slaving is explicit
-        ed2 = x["ed1"] + (b["x_q1"] - b["x_q2"]) * i_q if flags.tqpp_zero else x["ed2"]
+    if flags.tqpp_zero:
+        # e''_d = e'_d + (x'_q - x''_q) i_q closed under i_q = (v_d - e''_d)/x''_q
+        ed2 = (b["x_q2"] * x["ed1"] + (b["x_q1"] - b["x_q2"]) * v_d) / b["x_q1"]
     else:
-        if flags.tqpp_zero:
-            # e''_d = e'_d + (x'_q - x''_q) i_q closed under i_q = (v_d - e''_d)/x''_q
-            ed2 = (b["x_q2"] * x["ed1"] + (b["x_q1"] - b["x_q2"]) * v_d) / b["x_q1"]
-        else:
-            ed2 = x["ed2"]
-        i_q = (v_d - ed2) / b["x_q2"]
+        ed2 = x["ed2"]
+    i_q = (v_d - ed2) / b["x_q2"]
     P_g = v_d * i_d + v_q * i_q
     return v_d, v_q, i_d, i_q, P_g, eq2, ed2
 
@@ -377,33 +365,32 @@ def _bare_arrays(ps: np.ndarray, flags: LimitFlags) -> dict:
     return b
 
 
-def algebraic_eval(s: StateVector, b: BareParams, iq_form: str = IQ_STANDARD) -> AlgebraicVars:
+def algebraic_eval(s: StateVector, b: BareParams) -> AlgebraicVars:
     """Evaluate the stator algebraic block at one state.
 
-    ``iq_form`` selects the quadrature-current expression: ``"standard"`` uses
-    the subtransient EMF e''_d (this reproduces the reference spectra);
-    ``"as-printed"`` lets i_q depend on e''_q instead.
+    The currents are the standard two-axis ones: i_d = (e''_q - v_q)/x''_d and
+    i_q = (v_d - e''_d)/x''_q.
     """
     if b.x_d2 == 0 or b.x_q2 == 0:
         raise ZeroDivisionError("subtransient reactances must be nonzero")
     if b.x_d2 < 0 or b.x_q2 < 0:
         raise DomainError("subtransient reactances must be positive")
-    v_d, v_q, i_d, i_q, P_g, _, _ = _stator(s.delta, vars(s), vars(b), LimitFlags(), iq_form)
+    v_d, v_q, i_d, i_q, P_g, _, _ = _stator(s.delta, vars(s), vars(b), LimitFlags())
     return AlgebraicVars(float(v_d), float(v_q), float(i_d), float(i_q), float(P_g))
 
 
 class _FullRHS:
     """RHS of the sixth-order model, vectorized over n parameter sets."""
 
-    def __init__(self, b, n, flags: LimitFlags, iq_form: str):
-        self.b, self.n, self.flags, self.iq_form = b, n, flags, iq_form
+    def __init__(self, b, n, flags: LimitFlags):
+        self.b, self.n, self.flags = b, n, flags
         self.damped = not np.all(b["D"] == 0)
 
     def __call__(self, t, y):
         c, b = DEFAULT_CONSTANTS, self.b
         s = y.reshape(self.n, 6)
         x = dict(zip(STATE_NAMES, s.T))
-        alg = _stator(x["delta"], x, b, self.flags, self.iq_form)
+        alg = _stator(x["delta"], x, b, self.flags)
         out = np.empty_like(s)
         slip = x["omega"] - c.omega_0
         out[:, 0] = c.omega_b * slip
@@ -420,23 +407,23 @@ class _FullRHS:
 _CS_STEP = 1e-30
 
 
-def _stator_slope(delta, x: dict, b, flags: LimitFlags, iq_form: str):
+def _stator_slope(delta, x: dict, b, flags: LimitFlags):
     """:func:`_stator` at (delta, x) and dP_g/d(delta), from one complex-step evaluation."""
-    alg = _stator(delta + 1j * _CS_STEP, x, b, flags, iq_form)
+    alg = _stator(delta + 1j * _CS_STEP, x, b, flags)
     return [a.real for a in alg], alg[4].imag / _CS_STEP
 
 
-def _angle_rate(delta, x: dict, b, flags: LimitFlags, iq_form: str):
+def _angle_rate(delta, x: dict, b, flags: LimitFlags):
     """Stator algebra, EMF rates and rotor-angle rate on the power balance.
 
     The angle rate is the implicit-function derivative of P_g(delta, x) = P_m,
     d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta)), with dx/dt from the EMF
     equations and both partials taken by complex step.
     """
-    alg, dP_delta = _stator_slope(delta, x, b, flags, iq_form)
+    alg, dP_delta = _stator_slope(delta, x, b, flags)
     rates = _emf_rates(x, alg, b, flags)
     moved = {nm: x[nm] + 1j * _CS_STEP * r for nm, r in zip(flags.dynamic_states(), rates)}
-    dP_x = _stator(delta, moved, b, flags, iq_form)[4].imag / _CS_STEP
+    dP_x = _stator(delta, moved, b, flags)[4].imag / _CS_STEP
     return alg, rates, -dP_x / dP_delta
 
 
@@ -446,7 +433,7 @@ _ANGLE_TOL = 1e-12
 _ANGLE_MAX_ITER = 60
 
 
-def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None) -> np.ndarray:
+def solve_power_angle(st: dict, b, flags: LimitFlags, guess=None) -> np.ndarray:
     """Rotor angle(s) satisfying the power balance P_g(delta) = P_m.
 
     Safeguarded Newton (slope by complex step) with a bisection fallback on
@@ -461,7 +448,7 @@ def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None) 
     bracket[1] = c.vartheta + math.pi / 2 - 1e-12
 
     def residual(delta):  # P_g - P_m and its slope in delta
-        alg, slope = _stator_slope(delta, st, b, flags, iq_form)
+        alg, slope = _stator_slope(delta, st, b, flags)
         return alg[4] - c.P_m, slope
 
     # the residual is elementwise, so stacked angle arrays share one evaluation
@@ -496,8 +483,7 @@ def solve_power_angle(st: dict, b, flags: LimitFlags, iq_form: str, guess=None) 
                       residual=float(np.max(np.abs(r))))
 
 
-def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlags = LimitFlags(),
-        iq_form: str = IQ_STANDARD):
+def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlags = LimitFlags()):
     """State derivative and algebraic residuals at one state.
 
     For models without the inertia limit this returns the six-component
@@ -512,12 +498,12 @@ def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlag
     arr = np.asarray(s.to_array() if isinstance(s, StateVector) else s, dtype=float)
     x = {name: arr[i:i + 1] for i, name in enumerate(STATE_NAMES)}
     if flags.h_zero:
-        delta = solve_power_angle(x, b, flags, iq_form, guess=arr[:1] if arr[0] > 0 else None)
-        alg = _stator(delta, x, b, flags, iq_form)
+        delta = solve_power_angle(x, b, flags, guess=arr[:1] if arr[0] > 0 else None)
+        alg = _stator(delta, x, b, flags)
         d = np.concatenate(_emf_rates(x, alg, b, flags))
     else:
-        d = _FullRHS(b, 1, flags, iq_form)(0.0, arr)
-        alg = _stator(x["delta"], x, b, flags, iq_form)
+        d = _FullRHS(b, 1, flags)(0.0, arr)
+        alg = _stator(x["delta"], x, b, flags)
     return d, {"power_balance": float(DEFAULT_CONSTANTS.P_m - alg[4][0])}
 
 
@@ -549,8 +535,7 @@ class Trajectory:
 
 def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
                     ics: StateVector | None = None, t_end: float = 5.0, *,
-                    t_start: float = 0.0, rtol: float = 1e-7, atol: float = 1e-7,
-                    iq_form: str = IQ_STANDARD) -> Trajectory:
+                    t_start: float = 0.0, rtol: float = 1e-7, atol: float = 1e-7) -> Trajectory:
     """Integrate many parameter sets over one shared adaptive-step sequence.
 
     Sharing the step sequence keeps the members' integration errors strongly
@@ -590,8 +575,8 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
             """(n, m) EMFs, angle projected back onto P_g = P_m (warm-started from
             the integrated one), stator algebra and angle rate from (n, k, m) states."""
             x = dict(zip(names, s[:, 1:].transpose(1, 0, 2)))
-            delta = solve_power_angle(x, b2, flags, iq_form, guess=s[:, 0])
-            alg, _, ddelta = _angle_rate(delta, x, b2, flags, iq_form)
+            delta = solve_power_angle(x, b2, flags, guess=s[:, 0])
+            alg, _, ddelta = _angle_rate(delta, x, b2, flags)
             return x, delta, alg, ddelta
 
         s0 = np.tile(x0[[0] + [STATE_NAMES.index(nm) for nm in names]], (n, 1))[..., None]
@@ -601,11 +586,10 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
 
         def f(t, y):
             s = y.reshape(n, k)
-            _, rates, ddelta = _angle_rate(s[:, 0], dict(zip(names, s[:, 1:].T)), b, flags,
-                                           iq_form)
+            _, rates, ddelta = _angle_rate(s[:, 0], dict(zip(names, s[:, 1:].T)), b, flags)
             return np.array((ddelta, *rates)).T.ravel()
     else:
-        f = _FullRHS(b, n, flags, iq_form)
+        f = _FullRHS(b, n, flags)
         y0 = np.tile(x0, n)
     sol = solve_ivp(f, (t_start, t_end), y0, method="RK45", rtol=rtol, atol=atol,
                     dense_output=True, first_step=1e-4, max_step=0.05)
@@ -628,11 +612,10 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
 
 def integrate(p: IndependentParams, flags: LimitFlags = LimitFlags(),
               ics: StateVector | None = None, t_end: float = 5.0, *,
-              t_start: float = 0.0, rtol: float = 1e-7, atol: float = 1e-7,
-              iq_form: str = IQ_STANDARD) -> Trajectory:
+              t_start: float = 0.0, rtol: float = 1e-7, atol: float = 1e-7) -> Trajectory:
     """Integrate a single parameter set; see :func:`integrate_batch`."""
     return integrate_batch(p.to_array()[None, :], flags, ics, t_end,
-                           t_start=t_start, rtol=rtol, atol=atol, iq_form=iq_form)
+                           t_start=t_start, rtol=rtol, atol=atol)
 
 
 def observe(traj: Trajectory, grid: ObservationGrid = DEFAULT_GRID) -> np.ndarray:

@@ -20,10 +20,17 @@ from scipy.integrate import RK45
 from scipy.optimize import brentq
 
 from .errors import ChainDivergenceError, DomainError, SolverError
-from .fim import central_difference_jacobian, fim, generator_map, spectrum
+from .fim import (
+    JAC_STEP,
+    central_columns,
+    central_points,
+    fim,
+    generator_map,
+    sensitivities,
+    spectrum,
+)
 from .generator import (
     DEFAULT_GRID,
-    IQ_STANDARD,
     LIMIT_CHAIN,
     LIMIT_REMOVES,
     IndependentParams,
@@ -35,7 +42,6 @@ __all__ = [
     "GeodesicState",
     "GeodesicTrace",
     "BoundaryDiagnosis",
-    "christoffel_contraction",
     "contraction_for_map",
     "trace_geodesic",
     "diagnose_boundary",
@@ -47,8 +53,7 @@ __all__ = [
 #: relative eigenvalue floor for inverting the metric near degenerate boundaries
 METRIC_FLOOR = 1e-13
 
-#: finite-difference steps (log-parameter units)
-JAC_STEP = 1e-4
+#: second-difference step along the direction (log-parameter units)
 DIR_STEP = 1e-2
 
 # a geodesic whose speed has risen this many times its start speed, and then
@@ -120,9 +125,10 @@ def contraction_for_map(f: Callable[[np.ndarray], np.ndarray], log_theta: np.nda
                         v: np.ndarray) -> np.ndarray:
     """Connection-coefficient contraction Gamma[v, v] for a batched map.
 
-    Evaluates metric^-1 J^T (d^2 Y / d tau^2 along v); the directional second
-    derivative is a central second difference along v, so the cost per call is
-    2n + 3 map evaluations in a single batch rather than O(n^2).
+    Evaluates metric^-1 J^T (d^2 Y / d tau^2 along v); J is the sensitivity
+    rule's central difference (step :data:`~genident.fim.JAC_STEP`) and the
+    directional second derivative a central second difference along v, so the
+    cost per call is 2n + 3 map evaluations in a single batch rather than O(n^2).
     """
     log_theta = np.asarray(log_theta, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -131,28 +137,14 @@ def contraction_for_map(f: Callable[[np.ndarray], np.ndarray], log_theta: np.nda
     if vn == 0:
         return np.zeros(n)
     vhat = v / vn
-    pts = np.repeat(log_theta[None, :], 2 * n + 3, axis=0)
-    for j in range(n):
-        pts[2 * j, j] += JAC_STEP
-        pts[2 * j + 1, j] -= JAC_STEP
-    pts[2 * n + 1] += DIR_STEP * vhat
-    pts[2 * n + 2] -= DIR_STEP * vhat
-    Y = f(pts)
+    # the Jacobian's pairs, then the centre and the pair along v, in one batch
+    Y = f(np.vstack((central_points(log_theta, JAC_STEP), log_theta,
+                     log_theta + DIR_STEP * vhat, log_theta - DIR_STEP * vhat)))
     if not np.all(np.isfinite(Y)):
         raise SolverError("map returned non-finite values during contraction")
-    J = np.stack([(Y[2 * j] - Y[2 * j + 1]) / (2 * JAC_STEP) for j in range(n)], axis=1)
+    J = central_columns(Y, n, JAC_STEP)
     d2 = (Y[2 * n + 1] - 2.0 * Y[2 * n] + Y[2 * n + 2]) / DIR_STEP**2 * vn**2
     return _floored_inverse_apply(J.T @ J, J.T @ d2)
-
-
-def christoffel_contraction(p: IndependentParams, v: np.ndarray,
-                            flags: LimitFlags = LimitFlags(),
-                            grid: ObservationGrid = DEFAULT_GRID, *,
-                            iq_form: str = IQ_STANDARD) -> np.ndarray:
-    """Gamma[v, v] for the generator model at a parameter point (log coordinates)."""
-    f = generator_map(flags, grid, iq_form=iq_form)
-    theta = np.log([getattr(p, nm) for nm in flags.active_params()])
-    return contraction_for_map(f, theta, v)
 
 
 def sloppiest_direction(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
@@ -325,21 +317,23 @@ def diagnose_boundary(trace: GeodesicTrace) -> BoundaryDiagnosis:
 
 
 def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_GRID, *,
-              iq_form: str = IQ_STANDARD, vel_ratio: float = 1e3, log_bound: float = 25.0,
+              vel_ratio: float = 1e3, log_bound: float = 25.0,
               rtol: float = 1e-6) -> tuple[BoundaryDiagnosis, LimitFlags, GeodesicTrace]:
     """One reduction step: sloppiest geodesic of the flagged model at nominal, diagnosed.
 
+    The geodesic launches from the spectrum of :func:`~genident.fim.sensitivities`.
     Returns the boundary diagnosis, the augmented flag set, and the trace.
     A diagnosis that does not match the next limit of the supported chain
     raises :class:`ChainDivergenceError` rather than being silently accepted.
     """
     if flags.count() >= len(LIMIT_CHAIN):
         raise DomainError("no reduction limits remain")
-    f = generator_map(flags, grid, iq_form=iq_form)
-    active = flags.active_params()
-    theta0 = np.log([getattr(IndependentParams.nominal(), nm) for nm in active])
-    J = central_difference_jacobian(f, theta0, JAC_STEP)
-    spec = spectrum(fim(J), active)
+    nominal = IndependentParams.nominal()
+    S = sensitivities(nominal, flags, grid)
+    active = S.param_names
+    spec = spectrum(fim(S), active)
+    f = generator_map(flags, grid)
+    theta0 = np.log([getattr(nominal, nm) for nm in active])
     lam_min = float(spec.eigenvalues[-1])
     tau_max = 10.0 * math.sqrt(lam_min)
     v0 = sloppiest_direction(spec.eigenvalues, spec.eigenvectors)
@@ -361,8 +355,8 @@ def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_
     return diag, flags.with_next(), trace
 
 
-def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, iq_form: str = IQ_STANDARD,
-               vel_ratio: float = 1e3, log_bound: float = 25.0, rtol: float = 1e-6,
+def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, vel_ratio: float = 1e3,
+               log_bound: float = 25.0, rtol: float = 1e-6,
                collect_traces: bool = False) -> list[dict]:
     """Run consecutive reduction steps from the full model; returns stage reports.
 
@@ -386,9 +380,8 @@ def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, iq_form: str = IQ_STANDA
         t0 = time.monotonic()
         entry = {"from_params": n_before}
         try:
-            diag, next_flags, trace = mbam_step(flags, grid, iq_form=iq_form,
-                                                vel_ratio=vel_ratio, log_bound=log_bound,
-                                                rtol=rtol)
+            diag, next_flags, trace = mbam_step(flags, grid, vel_ratio=vel_ratio,
+                                                log_bound=log_bound, rtol=rtol)
             entry["to_params"] = n_before - 1
         except (ChainDivergenceError, SolverError) as exc:
             diag = getattr(exc, "diagnosis", None)

@@ -35,7 +35,6 @@ from .ensemble import EnsembleSpec, compare_tracks, run_ensemble, sample_ensembl
 from .errors import ChainDivergenceError, DomainError
 from .fim import effective_dimension, fim, sensitivities, spectrum
 from .generator import (
-    IQ_STANDARD,
     PARAM_NAMES,
     STATE_NAMES,
     IndependentParams,
@@ -64,9 +63,6 @@ class Config:
     t_end: float = 5.0
     dt: float = 0.02
     rtol: float = 1e-7
-    sens_rtol: float = 1e-9
-    sens_step: float = 1e-4
-    iq_form: str = IQ_STANDARD
     fim_cutoff: float = 1e-2
     projection_threshold: float = 0.8
     geo_vel_ratio: float = 1e3
@@ -211,8 +207,7 @@ class Stage:
 def stage_simulate(cfg: Config, out_dir: str) -> str:
     """Nominal full-model trajectory sampled on the observation grid."""
     st = Stage(out_dir, "simulate", cfg)
-    traj = integrate(IndependentParams.nominal(), rtol=cfg.rtol, atol=cfg.rtol,
-                     t_end=cfg.t_end, iq_form=cfg.iq_form)
+    traj = integrate(IndependentParams.nominal(), rtol=cfg.rtol, atol=cfg.rtol, t_end=cfg.t_end)
     t = np.arange(0.0, cfg.t_end + cfg.dt / 2, cfg.dt)
     states = traj.at(t)[0]
     path = st.path("trajectory.csv")
@@ -234,8 +229,7 @@ def stage_sample(cfg: Config, out_dir: str) -> str:
 def stage_ensemble(cfg: Config, out_dir: str) -> str:
     st = Stage(out_dir, "ensemble", cfg)
     _, params = read_csv(os.path.join(out_dir, "ensemble_params.csv"))
-    run = run_ensemble(params, cfg.grid(), workers=cfg.workers, rtol=cfg.rtol,
-                       iq_form=cfg.iq_form)
+    run = run_ensemble(params, cfg.grid(), workers=cfg.workers, rtol=cfg.rtol)
     path = st.path("ensemble_outputs.csv")
     write_csv(path, [f"y{i}" for i in range(run.outputs.shape[1])], run.outputs,
               fmt="%.12g")
@@ -246,19 +240,19 @@ def stage_ensemble(cfg: Config, out_dir: str) -> str:
     return path
 
 
-def _spectrum_artifacts(st: Stage, cfg: Config, flags: LimitFlags, tag: str = ""):
-    S = sensitivities(IndependentParams.nominal(), flags, cfg.grid(),
-                      step=cfg.sens_step, rtol=cfg.sens_rtol, iq_form=cfg.iq_form)
+def stage_fim(cfg: Config, out_dir: str):
+    """Information spectrum of the full model at nominal, with its participation heatmap."""
+    st = Stage(out_dir, "fim", cfg)
+    S = sensitivities(IndependentParams.nominal(), grid=cfg.grid())
     sp = spectrum(fim(S), S.param_names)
-    suffix = f"_{tag}" if tag else ""
-    write_json(st.path(f"spectrum{suffix}.json"), {
+    write_json(st.path("spectrum.json"), {
         "eigenvalues": sp.eigenvalues.tolist(),
         "participation": sp.participation.tolist(),
         "names": list(sp.param_names),
         "effective_dimension": effective_dimension(sp, cfg.fim_cutoff),
         "cutoff": cfg.fim_cutoff,
     })
-    heat = st.path(f"spectrum_heatmap{suffix}.csv")
+    heat = st.path("spectrum_heatmap.csv")
     n = len(sp.param_names)
     header = ["param"] + [f"mode_{k+1}" for k in range(n)]
     with open(heat, "w", encoding="utf-8", newline="\n") as fh:
@@ -268,15 +262,9 @@ def _spectrum_artifacts(st: Stage, cfg: Config, flags: LimitFlags, tag: str = ""
             fh.write(nm + "," + ",".join("%.15g" % v for v in sp.participation[i]) + "\n")
     if cfg.svg:
         from .svgplot import line_plot
-        line_plot(st.path(f"spectrum{suffix}.svg"), np.arange(1, n + 1),
+        line_plot(st.path("spectrum.svg"), np.arange(1, n + 1),
                   {"eigenvalue": sp.eigenvalues}, title="Information spectrum",
                   xlabel="mode", ylabel="eigenvalue", logy=True, markers=True)
-    return sp
-
-
-def stage_fim(cfg: Config, out_dir: str):
-    st = Stage(out_dir, "fim", cfg)
-    sp = _spectrum_artifacts(st, cfg, LimitFlags())
     st.finish()
     return sp
 
@@ -292,8 +280,7 @@ def _write_trace(path: str, trace) -> None:
 def stage_geodesic(cfg: Config, out_dir: str):
     """Sloppiest-direction geodesic of the full model plus its diagnosis."""
     st = Stage(out_dir, "geodesic", cfg)
-    diag, _, trace = mbam_step(LimitFlags(), cfg.grid(), iq_form=cfg.iq_form,
-                               vel_ratio=cfg.geo_vel_ratio,
+    diag, _, trace = mbam_step(LimitFlags(), cfg.grid(), vel_ratio=cfg.geo_vel_ratio,
                                log_bound=cfg.geo_log_bound, rtol=cfg.geo_rtol)
     _write_trace(st.path("geodesic_trace.csv"), trace)
     write_json(st.path("geodesic_diagnosis.json"), {
@@ -316,7 +303,7 @@ def stage_geodesic(cfg: Config, out_dir: str):
 def stage_mbam(cfg: Config, out_dir: str):
     """The reduction ladder; a diverging stage is written, then raised."""
     st = Stage(out_dir, "mbam", cfg)
-    chain = mbam_chain(cfg.grid(), iq_form=cfg.iq_form, vel_ratio=cfg.geo_vel_ratio,
+    chain = mbam_chain(cfg.grid(), vel_ratio=cfg.geo_vel_ratio,
                        log_bound=cfg.geo_log_bound, rtol=cfg.geo_rtol, collect_traces=True)
     for entry in chain:
         trace = entry.pop("trace", None)
@@ -336,12 +323,10 @@ def stage_mbam(cfg: Config, out_dir: str):
 def stage_reduced_compare(cfg: Config, out_dir: str):
     """Full vs fully reduced dynamics over the observation window."""
     st = Stage(out_dir, "reduced-compare", cfg)
-    full = integrate(IndependentParams.nominal(), rtol=cfg.rtol, atol=cfg.rtol,
-                     t_end=cfg.t_end, iq_form=cfg.iq_form)
+    full = integrate(IndependentParams.nominal(), rtol=cfg.rtol, atol=cfg.rtol, t_end=cfg.t_end)
     ics = full.state_at(cfg.t_start)
     red = integrate(IndependentParams.nominal(), LimitFlags.all(), ics=ics,
-                    t_end=cfg.t_end, t_start=cfg.t_start, rtol=cfg.rtol,
-                    atol=cfg.rtol, iq_form=cfg.iq_form)
+                    t_end=cfg.t_end, t_start=cfg.t_start, rtol=cfg.rtol, atol=cfg.rtol)
     t = cfg.grid().times()
     sf = full.at(t)[0]
     sr = red.at(t)[0]

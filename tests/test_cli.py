@@ -51,11 +51,14 @@ class TestConfig:
         assert cfg.target_dim == 6
 
     def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("not_a_key = 3\n")
         from genident.errors import DomainError
-        with pytest.raises(DomainError):
-            load_config(str(p))
+        # the last three were keys once; an old config file must fail loudly
+        for line in ("not_a_key = 3", 'iq_form = "standard"', "sens_step = 1e-4",
+                     "sens_rtol = 1e-9"):
+            p = tmp_path / "bad.cfg"
+            p.write_text(line + "\n")
+            with pytest.raises(DomainError, match="unknown config key"):
+                load_config(str(p))
 
     def test_every_key_is_read(self):
         read = set()
@@ -86,9 +89,11 @@ class TestConfig:
         assert not unused, f"imported names never used: {unused}"
 
     def test_every_module_level_name_is_referenced(self):
-        # functions, classes and constants of the package; an import (a re-export) is no use
+        # functions, classes and constants of the package, and the public methods of its
+        # classes; an import (a re-export) is no use
         defined = {}
         for path, tree in _parsed("src/genident/*.py"):
+            where = os.path.relpath(path, ROOT)
             for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     names = [node.name]
@@ -97,8 +102,12 @@ class TestConfig:
                     names = [t.id for t in targets if isinstance(t, ast.Name)]
                 else:
                     continue
-                defined.update({name: f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+                defined.update({name: f"{where}:{node.lineno}"
                                 for name in names if not name.startswith("__")})
+                if isinstance(node, ast.ClassDef):
+                    defined.update({f"{node.name}.{m.name}": f"{where}:{m.lineno}"
+                                    for m in node.body if isinstance(m, ast.FunctionDef)
+                                    and not m.name.startswith("_")})
         used = set()
         for _, tree in _parsed("src/**/*.py", "tests/**/*.py", "demos/**/*.py",
                                "benchmarks/**/*.py"):
@@ -107,8 +116,9 @@ class TestConfig:
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-        unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
-        assert not unused, f"module-level names nothing references: {unused}"
+        unused = sorted(f"{where} {name}" for name, where in defined.items()
+                        if name.rpartition(".")[2] not in used)
+        assert not unused, f"package names and public methods nothing references: {unused}"
 
 
 class TestCliStages:
@@ -186,5 +196,4 @@ class TestCliStages:
         cfg = Config(geo_vel_ratio=500.0, geo_log_bound=12.0, geo_rtol=1e-3)
         with pytest.raises(ChainDivergenceError):
             pipeline.stage_mbam(cfg, str(tmp_path))
-        assert calls == [{"iq_form": cfg.iq_form, "vel_ratio": 500.0,
-                          "log_bound": 12.0, "rtol": 1e-3}]
+        assert calls == [{"vel_ratio": 500.0, "log_bound": 12.0, "rtol": 1e-3}]

@@ -7,7 +7,6 @@ import pytest
 from genident.errors import DomainError
 from genident.fim import (
     FIMatrix,
-    add_noise,
     central_difference_jacobian,
     effective_dimension,
     fim,
@@ -70,10 +69,6 @@ class TestJacobian:
         norms = np.linalg.norm(S.entries, axis=0)
         d_idx = S.param_names.index("D")
         assert np.argmin(norms) == d_idx
-
-    def test_step_must_be_positive(self):
-        with pytest.raises(DomainError):
-            sensitivities(NOM, step=0.0)
 
 
 class TestFim:
@@ -183,25 +178,3 @@ class TestEffectiveDimension:
         S = sensitivities(NOM, LimitFlags.all())
         sp = spectrum(fim(S), S.param_names)
         assert effective_dimension(sp, 1e-2) == 6
-
-
-class TestNoise:
-    def test_zero_sigma_is_identity(self):
-        y = np.arange(5.0)
-        out = add_noise(y, 0.0, seed=1)
-        np.testing.assert_array_equal(out.values, y)
-
-    def test_seed_determinism(self):
-        y = np.zeros(100)
-        a = add_noise(y, 0.5, seed=42)
-        b = add_noise(y, 0.5, seed=42)
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_sample_mean_is_statistically_zero(self):
-        n = 100000
-        out = add_noise(np.zeros(n), 1.0, seed=9)
-        assert abs(out.values.mean()) < 3.0 / np.sqrt(n)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            add_noise(np.zeros(3), -1.0)

@@ -7,8 +7,6 @@ from genident import generator
 from genident.errors import DomainError
 from genident.generator import (
     DEFAULT_CONSTANTS,
-    IQ_AS_PRINTED,
-    IQ_STANDARD,
     PARAM_NAMES,
     STATE_NAMES,
     BareParams,
@@ -85,11 +83,6 @@ class TestAlgebraicBlock:
         i_q_std = (v_d - 0.02) / 0.48
         assert out.i_q == pytest.approx(i_q_std, rel=1e-14)
         assert out.P_g == pytest.approx(v_d * i_d + v_q * i_q_std, rel=1e-14)
-        # as-printed variant: i_q from e''_q
-        out_p = algebraic_eval(s, b, iq_form=IQ_AS_PRINTED)
-        i_q_printed = (v_d - 1.93) / 0.48
-        assert out_p.i_q == pytest.approx(i_q_printed, rel=1e-14)
-        assert out_p.P_g == pytest.approx(v_d * i_d + v_q * i_q_printed, rel=1e-14)
 
     def test_power_identity_exact(self):
         rng = np.random.default_rng(3)
@@ -106,7 +99,7 @@ class TestAlgebraicBlock:
             algebraic_eval(StateVector(), bad)
 
 
-def _transcribed_rhs(state, p, iq_printed=False):
+def _transcribed_rhs(state, p):
     """Second, independent straight-line transcription of the dynamic equations."""
     delta, omega, eq1, ed1, eq2, ed2 = state
     H, D, dx1, dx2, dx3, dx4, xdpp, dTd, dTq, Tdpp, Tqpp = p
@@ -120,7 +113,7 @@ def _transcribed_rhs(state, p, iq_printed=False):
     v_d = V * math.sin(delta)
     v_q = V * math.cos(delta)
     i_d = (eq2 - v_q) / xdpp
-    i_q = (v_d - (eq2 if iq_printed else ed2)) / xqpp
+    i_q = (v_d - ed2) / xqpp
     P_g = v_d * i_d + v_q * i_q
     return [
         omega_b * (omega - omega_0),
@@ -145,11 +138,6 @@ class TestRhs:
         np.testing.assert_allclose(d, want, rtol=1e-12)
         assert res["power_balance"] == pytest.approx(0.7 - algebraic_eval(
             StateVector(), independent_to_bare(NOM)).P_g)
-
-    def test_as_printed_variant_against_transcription(self):
-        d, _ = rhs(StateVector(), NOM, iq_form=IQ_AS_PRINTED)
-        want = _transcribed_rhs(StateVector().to_array(), NOM.to_array(), iq_printed=True)
-        np.testing.assert_allclose(d, want, rtol=1e-12)
 
     def test_random_states_match_transcription(self):
         rng = np.random.default_rng(11)
@@ -255,9 +243,8 @@ class TestReducedModel:
 
     @pytest.mark.parametrize("flags", [LimitFlags.first(2), LimitFlags.all()],
                              ids=["first2", "all"])
-    @pytest.mark.parametrize("iq_form", [IQ_STANDARD, IQ_AS_PRINTED])
-    def test_speed_is_the_rate_of_the_solved_angle(self, flags, iq_form):
-        traj = integrate(NOM, flags, iq_form=iq_form)
+    def test_speed_is_the_rate_of_the_solved_angle(self, flags):
+        traj = integrate(NOM, flags)
         assert traj.at([0.0])[0, 0, 1] == StateVector().omega
         t = np.linspace(0.1, 4.9, 25)
         h = 1e-4

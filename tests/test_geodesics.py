@@ -9,7 +9,6 @@ from genident.generator import IndependentParams, LimitFlags
 from genident.geodesics import (
     GeodesicState,
     GeodesicTrace,
-    christoffel_contraction,
     contraction_for_map,
     diagnose_boundary,
     sloppiest_direction,
@@ -93,14 +92,6 @@ class TestChristoffel:
         oracle = np.linalg.solve(I, J.T @ contracted_d2)
         got = contraction_for_map(f, x0, v)
         assert np.linalg.norm(got - oracle) / np.linalg.norm(oracle) <= 1e-3
-
-    def test_generator_signature_wrapper_matches_generic(self):
-        rng = np.random.default_rng(6)
-        v = rng.standard_normal(11)
-        got = christoffel_contraction(NOM, v)
-        f = generator_map()
-        want = contraction_for_map(f, np.log(NOM.to_array()), v)
-        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
 class TestTraceGeodesic:
