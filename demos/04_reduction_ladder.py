@@ -1,14 +1,16 @@
-"""The five-limit reduction ladder and the final reduced model's fidelity.
+"""The reduction ladder and the fully reduced model's fidelity.
 
 Each rung launches a sloppiest-direction geodesic on the current model,
 reads off the diverging parameter at the boundary, and applies that limit as
-a flag: damping out, inertia out (power balance becomes algebraic), the two
-subtransient EMFs slaved, and finally x_d pinned to x_q.  The fully reduced
-third-order model reproduces the full trajectories on the observation window
-to within a few percent.  A rung that diagnoses a limit off this chain stops
-the ladder; its divergence record is printed in place of a reduction.
+a flag, in whatever order the geodesics find: damping out, inertia out (power
+balance becomes algebraic), a subtransient EMF slaved, or x_d pinned to x_q.
+A rung whose boundary no limit can apply (a parameter going to infinity or
+one with no limit), or whose geodesic reaches no boundary, stops the ladder;
+its divergence record is printed in place of a reduction.  The model with
+all five limits applied reproduces the full trajectories on the observation
+window to within a few percent.
 
-The full ladder re-solves many geodesics; expect roughly ten minutes.
+The ladder re-solves many geodesics; expect roughly ten minutes.
 """
 
 import numpy as np
@@ -26,9 +28,8 @@ print("reduction ladder:")
 for e in chain:
     if "divergence" in e:
         # the chain stopped here: a stage that raised leaves a divergence record
-        print(f"  {e['from_params']:2d} parameters: diverged, expected "
-              f"{e['expected_param']} to_zero, diagnosed {e['limit_param']} "
-              f"{e['direction']}\n    {e['divergence']}")
+        print(f"  {e['from_params']:2d} parameters: diverged, diagnosed "
+              f"{e['limit_param']} {e['direction']}\n    {e['divergence']}")
         continue
     print(f"  {e['from_params']:2d} -> {e['to_params']:2d} parameters: "
           f"{e['limit_param']} {e['direction']}  "

@@ -10,7 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .fim import InfoSpectrum, effective_dimension
+from .fim import DEFAULT_CUTOFF, InfoSpectrum, effective_dimension
 from .generator import (
     DEFAULT_GRID,
     PARAM_NAMES,
@@ -32,6 +32,9 @@ __all__ = [
 # rows integrated per shared-step solve; fixed so results do not depend on the
 # worker count
 _CHUNK = 64
+
+#: projection norm above which a parameter counts as identifiable in compare_tracks
+DEFAULT_PROJECTION_THRESHOLD = 0.8
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,9 @@ def run_ensemble(params: np.ndarray, grid: ObservationGrid = DEFAULT_GRID,
 
 
 def compare_tracks(spec: InfoSpectrum, dmaps_dim: int, test_mae: Mapping[str, float], *,
-                   cutoff: float = 1e-2, projection_threshold: float = 0.8) -> ComparisonReport:
+                   cutoff: float = DEFAULT_CUTOFF,
+                   projection_threshold: float = DEFAULT_PROJECTION_THRESHOLD,
+                   ) -> ComparisonReport:
     """Cross-validate the analytic and data-driven identifiable-parameter claims.
 
     The information-side set holds the parameters whose axes project (norm)

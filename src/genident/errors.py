@@ -15,7 +15,11 @@ class SolverError(RuntimeError):
 
 
 class ChainDivergenceError(RuntimeError):
-    """A reduction step diagnosed a limit outside the supported chain."""
+    """A reduction step diagnosed a boundary that no limit flag can apply.
+
+    That is a parameter going to infinity, a parameter with no limit, or a
+    limit whose flag set fails validation.
+    """
 
     def __init__(self, message, diagnosis=None):
         super().__init__(message)

@@ -37,6 +37,7 @@ __all__ = [
     "fim",
     "spectrum",
     "effective_dimension",
+    "DEFAULT_CUTOFF",
     "JAC_STEP",
     "SENSITIVITY_RTOL",
 ]
@@ -47,6 +48,9 @@ JAC_STEP = 1e-4
 # tolerance used for derivative-quality integrations; tighter than a plain
 # trajectory run so truncation of the JAC_STEP differences stays dominant
 SENSITIVITY_RTOL = 1e-9
+
+#: eigenvalue cutoff of :func:`effective_dimension` (dimensionless convention)
+DEFAULT_CUTOFF = 1e-2
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,7 @@ def spectrum(I: FIMatrix, names: Sequence[str] | None = None) -> InfoSpectrum:
     return InfoSpectrum(lam, U**2, tuple(names), U)
 
 
-def effective_dimension(s: InfoSpectrum, cutoff: float = 1e-2) -> int:
+def effective_dimension(s: InfoSpectrum, cutoff: float = DEFAULT_CUTOFF) -> int:
     """Number of eigenvalues above the cutoff (dimensionless convention)."""
     if cutoff <= 0:
         raise DomainError("cutoff must be positive")

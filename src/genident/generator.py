@@ -10,10 +10,12 @@ inertia limit the swing equation becomes the power balance P_g(delta, x) = P_m,
 an index-1 DAE: the angle integrates with its implicit-function rate and is
 projected back onto the balance at the output times.
 
-A chain of five singular/regular limits (damping -> 0, inertia -> 0, the two
-subtransient time constants -> 0, and x_d -> x_q) reduces the model one
-parameter at a time; each limit is realized here as a flag on the full model
-rather than a separately coded equation set.
+Five singular/regular limits (damping -> 0, inertia -> 0, the two subtransient
+time constants -> 0, and x_d -> x_q) each remove one parameter.  Each is a
+flag on the full model rather than a separately coded equation set, and the
+flags are independent: any set is valid as long as the inertia limit comes
+with the damping one.  Every flag set has one state layout, its
+``dynamic_states()``; slaved EMFs are closed by the stator algebra.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ PARAM_NAMES = ("H", "D", "dx1", "dx2", "dx3", "dx4", "xdpp", "dTd", "dTq", "Tdpp
 
 STATE_NAMES = ("delta", "omega", "eq1", "ed1", "eq2", "ed2")
 
-#: Reduction-chain order; each limit was derived on the model with all previous
-#: limits applied, so a valid flag set is a prefix of this sequence.
+#: The paper's order of the limits, which names its nested models
+#: (:meth:`LimitFlags.first`).  It is not a validity rule: the flags are
+#: independent, and a reduction ladder applies whichever limit it diagnoses.
 LIMIT_CHAIN = ("d_zero", "h_zero", "tdpp_zero", "tqpp_zero", "dx1_zero")
 
 #: Parameter removed from the varied set by each limit.
@@ -227,7 +230,11 @@ class AlgebraicVars:
 
 @dataclass(frozen=True)
 class LimitFlags:
-    """Active reduction limits; must form a prefix of :data:`LIMIT_CHAIN`."""
+    """Active reduction limits, each independent of the others.
+
+    The one rule is physical: the algebraic balance P_g = P_m is the inertia
+    limit only when there is no damping, so ``h_zero`` requires ``d_zero``.
+    """
 
     d_zero: bool = False
     h_zero: bool = False
@@ -236,11 +243,9 @@ class LimitFlags:
     dx1_zero: bool = False
 
     def __post_init__(self):
-        seq = [getattr(self, name) for name in LIMIT_CHAIN]
-        if any(seq[i] and not all(seq[:i]) for i in range(len(seq))):
-            raise DomainError(
-                f"limit flags must be a prefix of the chain {LIMIT_CHAIN}; got {self}"
-            )
+        if self.h_zero and not self.d_zero:
+            raise DomainError("h_zero requires d_zero: without damping removed, the "
+                              "power balance P_g = P_m is not the inertia limit")
 
     @classmethod
     def all(cls) -> "LimitFlags":
@@ -248,34 +253,25 @@ class LimitFlags:
 
     @classmethod
     def first(cls, n: int) -> "LimitFlags":
+        """The first ``n`` limits of :data:`LIMIT_CHAIN`: the paper's nested models."""
         if not 0 <= n <= len(LIMIT_CHAIN):
             raise DomainError(f"chain prefix length must be in [0, {len(LIMIT_CHAIN)}]")
         return cls(**{name: i < n for i, name in enumerate(LIMIT_CHAIN)})
 
-    def count(self) -> int:
-        return sum(getattr(self, name) for name in LIMIT_CHAIN)
-
-    def with_next(self) -> "LimitFlags":
-        n = self.count()
-        if n >= len(LIMIT_CHAIN):
-            raise DomainError("all limits already applied")
-        return LimitFlags.first(n + 1)
-
     def active_params(self) -> tuple[str, ...]:
         """Parameter names still varied once the flagged limits are applied."""
-        removed = {LIMIT_REMOVES[name] for name in LIMIT_CHAIN if getattr(self, name)}
+        removed = {param for name, param in LIMIT_REMOVES.items() if getattr(self, name)}
         return tuple(n for n in PARAM_NAMES if n not in removed)
 
     def dynamic_states(self) -> tuple[str, ...]:
-        """State components that remain differential under these limits."""
-        if not self.h_zero:
-            return STATE_NAMES
-        names = ["eq1", "ed1"]
-        if not self.tdpp_zero:
-            names.append("eq2")
-        if not self.tqpp_zero:
-            names.append("ed2")
-        return tuple(names)
+        """State components that remain differential under these limits.
+
+        The inertia limit makes the angle algebraic and drops the speed; each
+        subtransient limit slaves its EMF.
+        """
+        slaved = {"delta": self.h_zero, "omega": self.h_zero,
+                  "eq2": self.tdpp_zero, "ed2": self.tqpp_zero}
+        return tuple(nm for nm in STATE_NAMES if not slaved.get(nm, False))
 
 
 @dataclass(frozen=True)
@@ -332,20 +328,20 @@ def _stator(delta, x: dict, b, flags: LimitFlags):
     return v_d, v_q, i_d, i_q, P_g, eq2, ed2
 
 
-def _emf_rates(x: dict, alg, b, flags: LimitFlags) -> list:
+def _emf_rates(x: dict, alg, b, flags: LimitFlags) -> dict:
     """The four EMF equations, for the EMFs that stay differential under ``flags``.
 
-    ``alg`` is :func:`_stator`'s result at the same state; the rates come in
-    the order of ``flags.dynamic_states()``.
+    ``alg`` is :func:`_stator`'s result at the same state; the rates are keyed
+    by state name.
     """
     _, _, i_d, i_q, _, eq2, ed2 = alg
     g = b["gaps"]
-    rates = [(-x["eq1"] - g[0] * i_d + DEFAULT_CONSTANTS.v_f0) / b["T_d01"],
-             (-x["ed1"] + g[1] * i_q) / b["T_q01"]]
+    rates = {"eq1": (-x["eq1"] - g[0] * i_d + DEFAULT_CONSTANTS.v_f0) / b["T_d01"],
+             "ed1": (-x["ed1"] + g[1] * i_q) / b["T_q01"]}
     if not flags.tdpp_zero:
-        rates.append((-eq2 + x["eq1"] - g[2] * i_d) / b["T_d02"])
+        rates["eq2"] = (-eq2 + x["eq1"] - g[2] * i_d) / b["T_d02"]
     if not flags.tqpp_zero:
-        rates.append((-ed2 + x["ed1"] + g[3] * i_q) / b["T_q02"])
+        rates["ed2"] = (-ed2 + x["ed1"] + g[3] * i_q) / b["T_q02"]
     return rates
 
 
@@ -379,30 +375,6 @@ def algebraic_eval(s: StateVector, b: BareParams) -> AlgebraicVars:
     return AlgebraicVars(float(v_d), float(v_q), float(i_d), float(i_q), float(P_g))
 
 
-class _FullRHS:
-    """RHS of the sixth-order model, vectorized over n parameter sets."""
-
-    def __init__(self, b, n, flags: LimitFlags):
-        self.b, self.n, self.flags = b, n, flags
-        self.damped = not np.all(b["D"] == 0)
-
-    def __call__(self, t, y):
-        c, b = DEFAULT_CONSTANTS, self.b
-        s = y.reshape(self.n, 6)
-        x = dict(zip(STATE_NAMES, s.T))
-        alg = _stator(x["delta"], x, b, self.flags)
-        out = np.empty_like(s)
-        slip = x["omega"] - c.omega_0
-        out[:, 0] = c.omega_b * slip
-        acc = c.P_m - alg[4]
-        if self.damped:
-            acc = acc - b["D"] * slip
-        out[:, 1] = acc / b["H"]
-        for j, rate in enumerate(_emf_rates(x, alg, b, self.flags), start=2):
-            out[:, j] = rate
-        return out.ravel()
-
-
 # complex-step size for the derivatives of P_g; the real parts stay the plain values
 _CS_STEP = 1e-30
 
@@ -413,18 +385,30 @@ def _stator_slope(delta, x: dict, b, flags: LimitFlags):
     return [a.real for a in alg], alg[4].imag / _CS_STEP
 
 
-def _angle_rate(delta, x: dict, b, flags: LimitFlags):
-    """Stator algebra, EMF rates and rotor-angle rate on the power balance.
+def _rates(x: dict, b, flags: LimitFlags):
+    """Stator algebra and the rate of every integrated state, keyed by state name.
 
-    The angle rate is the implicit-function derivative of P_g(delta, x) = P_m,
-    d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta)), with dx/dt from the EMF
-    equations and both partials taken by complex step.
+    These are the states of ``flags.dynamic_states()``, plus in the inertia
+    limit the rotor angle, whose rate is the implicit-function derivative of
+    P_g(delta, x) = P_m, d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta)),
+    with both partials taken by complex step.  Vectorized over parameter sets.
     """
-    alg, dP_delta = _stator_slope(delta, x, b, flags)
+    if flags.h_zero:
+        alg, dP_delta = _stator_slope(x["delta"], x, b, flags)
+        rates = _emf_rates(x, alg, b, flags)
+        moved = {nm: x[nm] + 1j * _CS_STEP * r for nm, r in rates.items()}
+        dP_x = _stator(x["delta"], moved, b, flags)[4].imag / _CS_STEP
+        rates["delta"] = -dP_x / dP_delta
+        return alg, rates
+    c = DEFAULT_CONSTANTS
+    alg = _stator(x["delta"], x, b, flags)
     rates = _emf_rates(x, alg, b, flags)
-    moved = {nm: x[nm] + 1j * _CS_STEP * r for nm, r in zip(flags.dynamic_states(), rates)}
-    dP_x = _stator(delta, moved, b, flags)[4].imag / _CS_STEP
-    return alg, rates, -dP_x / dP_delta
+    slip = x["omega"] - c.omega_0
+    acc = c.P_m - alg[4]
+    if not flags.d_zero:
+        acc = acc - b["D"] * slip
+    rates["delta"], rates["omega"] = c.omega_b * slip, acc / b["H"]
+    return alg, rates
 
 
 # the power-angle Newton stops once every |P_g - P_m| is below this, and gives
@@ -484,26 +468,20 @@ def solve_power_angle(st: dict, b, flags: LimitFlags, guess=None) -> np.ndarray:
 
 
 def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlags = LimitFlags()):
-    """State derivative and algebraic residuals at one state.
+    """State derivative and algebraic residuals at one full six-component state.
 
-    For models without the inertia limit this returns the six-component
-    derivative of the full state.  Once ``h_zero`` is set, the rotor angle is
-    algebraic: it is solved from the power balance, and the derivative covers
-    only the remaining EMF states (in the order given by
-    ``flags.dynamic_states()``).  In both cases the returned residual dict
-    reports the power-balance defect ``P_m - P_g`` (at the solved angle once
-    ``h_zero`` is set).
+    The derivative covers the states of ``flags.dynamic_states()``, in that
+    order.  Once ``h_zero`` is set the rotor angle is algebraic, solved from
+    the power balance.  The residual dict reports the power-balance defect
+    ``P_m - P_g`` (at the solved angle once ``h_zero`` is set).
     """
     b = _bare_arrays(p.to_array()[None, :], flags)
     arr = np.asarray(s.to_array() if isinstance(s, StateVector) else s, dtype=float)
     x = {name: arr[i:i + 1] for i, name in enumerate(STATE_NAMES)}
     if flags.h_zero:
-        delta = solve_power_angle(x, b, flags, guess=arr[:1] if arr[0] > 0 else None)
-        alg = _stator(delta, x, b, flags)
-        d = np.concatenate(_emf_rates(x, alg, b, flags))
-    else:
-        d = _FullRHS(b, 1, flags)(0.0, arr)
-        alg = _stator(x["delta"], x, b, flags)
+        x["delta"] = solve_power_angle(x, b, flags, guess=arr[:1] if arr[0] > 0 else None)
+    alg, rates = _rates(x, b, flags)
+    d = np.concatenate([rates[nm] for nm in flags.dynamic_states()])
     return d, {"power_balance": float(DEFAULT_CONSTANTS.P_m - alg[4][0])}
 
 
@@ -557,55 +535,51 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     x0 = ics.to_array()
 
     if t_end == t_start:
-        states = np.tile(x0, (n, 1))
+        return Trajectory(np.array([t_start]), (t_start, t_end), n,
+                          lambda t: np.tile(x0, (n, len(t), 1)))
 
-        def evaluator(t):
-            return np.broadcast_to(states[:, None, :], (n, len(t), 6)).copy()
+    # the integrated states: the dynamic ones, and in the inertia limit (an index-1
+    # DAE) the rotor angle ahead of them, with its implicit-function rate
+    names = (("delta",) if flags.h_zero else ()) + flags.dynamic_states()
+    b2 = {key: np.asarray(val)[..., None] for key, val in b.items()}  # broadcast over time
 
-        return Trajectory(np.array([t_start]), (t_start, t_end), n, evaluator)
+    def columns(s):
+        """All six states, (n, m) each, from (n, k, m) integrated ones; slaved EMFs
+        from the stator.  In the inertia limit the angle is projected onto P_g = P_m
+        (warm-started from the integrated one) and ``omega`` holds its rate."""
+        x = dict(zip(names, s.transpose(1, 0, 2)))
+        if flags.h_zero:
+            x["delta"] = solve_power_angle(x, b2, flags, guess=x["delta"])
+            alg, rates = _rates(x, b2, flags)
+            x["omega"] = rates["delta"]
+        else:
+            alg = _stator(x["delta"], x, b2, flags)
+        x["eq2"], x["ed2"] = alg[5], alg[6]
+        return x
 
+    s0 = np.tile(x0[[STATE_NAMES.index(nm) for nm in names]], (n, 1))
     if flags.h_zero:
-        # index-1 DAE: the rotor angle integrates ahead of the EMF states with its
-        # implicit-function rate, from an angle solved onto the power balance
-        names = flags.dynamic_states()
-        k = 1 + len(names)
-        b2 = {key: np.asarray(val)[..., None] for key, val in b.items()}  # broadcast over time
-
-        def project(s):
-            """(n, m) EMFs, angle projected back onto P_g = P_m (warm-started from
-            the integrated one), stator algebra and angle rate from (n, k, m) states."""
-            x = dict(zip(names, s[:, 1:].transpose(1, 0, 2)))
-            delta = solve_power_angle(x, b2, flags, guess=s[:, 0])
-            alg, _, ddelta = _angle_rate(delta, x, b2, flags)
-            return x, delta, alg, ddelta
-
-        s0 = np.tile(x0[[0] + [STATE_NAMES.index(nm) for nm in names]], (n, 1))[..., None]
         # consistent start; rotor speed follows the angle's rate from its supplied value
-        _, s0[:, 0], _, ddelta0 = project(s0)
-        y0 = s0.ravel()
+        start = columns(s0[..., None])
+        s0[:, 0], ddelta0 = start["delta"][:, 0], start["omega"]
 
-        def f(t, y):
-            s = y.reshape(n, k)
-            _, rates, ddelta = _angle_rate(s[:, 0], dict(zip(names, s[:, 1:].T)), b, flags)
-            return np.array((ddelta, *rates)).T.ravel()
-    else:
-        f = _FullRHS(b, n, flags)
-        y0 = np.tile(x0, n)
-    sol = solve_ivp(f, (t_start, t_end), y0, method="RK45", rtol=rtol, atol=atol,
+    def f(t, y):
+        _, rates = _rates(dict(zip(names, y.reshape(n, -1).T)), b, flags)
+        out = np.empty((n, len(names)))
+        for j, nm in enumerate(names):
+            out[:, j] = rates[nm]
+        return out.ravel()
+
+    sol = solve_ivp(f, (t_start, t_end), s0.ravel(), method="RK45", rtol=rtol, atol=atol,
                     dense_output=True, first_step=1e-4, max_step=0.05)
     if sol.status != 0:
         raise SolverError(f"integration failed: {sol.message}")
 
-    if not flags.h_zero:
-        def evaluator(t):
-            return sol.sol(t).reshape(n, 6, len(t)).transpose(0, 2, 1)
-
-        return Trajectory(sol.t.copy(), (t_start, t_end), n, evaluator)
-
     def evaluator(t):
-        x, delta, alg, ddelta = project(sol.sol(t).reshape(n, k, len(t)))
-        omega = ics.omega + (ddelta - ddelta0) / DEFAULT_CONSTANTS.omega_b
-        return np.stack((delta, omega, x["eq1"], x["ed1"], alg[5], alg[6]), axis=-1)
+        x = columns(sol.sol(t).reshape(n, -1, len(t)))
+        if flags.h_zero:
+            x["omega"] = ics.omega + (x["omega"] - ddelta0) / DEFAULT_CONSTANTS.omega_b
+        return np.stack([x[nm] for nm in STATE_NAMES], axis=-1)
 
     return Trajectory(sol.t.copy(), (t_start, t_end), n, evaluator)
 

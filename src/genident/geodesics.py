@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ from .fim import (
 )
 from .generator import (
     DEFAULT_GRID,
-    LIMIT_CHAIN,
     LIMIT_REMOVES,
     IndependentParams,
     LimitFlags,
@@ -64,6 +63,11 @@ _PLATEAU_GROWTH = 0.02
 
 #: model evaluations allowed per geodesic chunk before it counts as stalled
 _CHUNK_EVAL_BUDGET = 300
+
+# defaults of trace_geodesic: the boundary thresholds and the integration tolerance
+DEFAULT_VEL_RATIO = 1e3
+DEFAULT_LOG_BOUND = 25.0
+DEFAULT_GEODESIC_RTOL = 1e-6
 
 _EPS = np.finfo(float).eps
 
@@ -163,8 +167,8 @@ def sloppiest_direction(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np
 
 
 def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], start: GeodesicState, *,
-                   tau_max: float, vel_ratio: float = 1e3, log_bound: float = 25.0,
-                   rtol: float = 1e-6,
+                   tau_max: float, vel_ratio: float = DEFAULT_VEL_RATIO,
+                   log_bound: float = DEFAULT_LOG_BOUND, rtol: float = DEFAULT_GEODESIC_RTOL,
                    param_names: Sequence[str] | None = None) -> GeodesicTrace:
     """Integrate the geodesic equation until a boundary indicator fires.
 
@@ -317,16 +321,18 @@ def diagnose_boundary(trace: GeodesicTrace) -> BoundaryDiagnosis:
 
 
 def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_GRID, *,
-              vel_ratio: float = 1e3, log_bound: float = 25.0,
-              rtol: float = 1e-6) -> tuple[BoundaryDiagnosis, LimitFlags, GeodesicTrace]:
+              vel_ratio: float = DEFAULT_VEL_RATIO, log_bound: float = DEFAULT_LOG_BOUND,
+              rtol: float = DEFAULT_GEODESIC_RTOL,
+              ) -> tuple[BoundaryDiagnosis, LimitFlags, GeodesicTrace]:
     """One reduction step: sloppiest geodesic of the flagged model at nominal, diagnosed.
 
     The geodesic launches from the spectrum of :func:`~genident.fim.sensitivities`.
-    Returns the boundary diagnosis, the augmented flag set, and the trace.
-    A diagnosis that does not match the next limit of the supported chain
-    raises :class:`ChainDivergenceError` rather than being silently accepted.
+    Returns the boundary diagnosis, the flag set with the diagnosed limit
+    applied, and the trace.  A diagnosis that no limit flag can apply (a
+    parameter going to infinity, a parameter with no limit, or a flag set
+    that fails validation) raises :class:`ChainDivergenceError`.
     """
-    if flags.count() >= len(LIMIT_CHAIN):
+    if flags == LimitFlags.all():
         raise DomainError("no reduction limits remain")
     nominal = IndependentParams.nominal()
     S = sensitivities(nominal, flags, grid)
@@ -346,36 +352,40 @@ def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_
     if trace.terminated != "boundary":
         raise SolverError(f"geodesic did not reach a boundary ({trace.terminated}: {trace.detail})")
     diag = diagnose_boundary(trace)
-    next_flag = LIMIT_CHAIN[flags.count()]
-    expected_param = LIMIT_REMOVES[next_flag]
-    if diag.limit_param != expected_param or diag.direction != "to_zero":
+    limit = next((nm for nm, param in LIMIT_REMOVES.items() if param == diag.limit_param), None)
+    if limit is None or diag.direction != "to_zero":
         raise ChainDivergenceError(
-            f"diagnosed limit {diag.limit_param} {diag.direction} diverges from the "
-            f"supported chain (expected {expected_param} to_zero)", diagnosis=diag)
-    return diag, flags.with_next(), trace
+            f"diagnosed limit {diag.limit_param} {diag.direction} is not a reduction limit",
+            diagnosis=diag)
+    try:
+        return diag, replace(flags, **{limit: True}), trace
+    except DomainError as exc:
+        raise ChainDivergenceError(f"diagnosed limit {diag.limit_param} to_zero cannot be "
+                                   f"applied to {flags}: {exc}", diagnosis=diag) from None
 
 
-def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, vel_ratio: float = 1e3,
-               log_bound: float = 25.0, rtol: float = 1e-6,
+def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, vel_ratio: float = DEFAULT_VEL_RATIO,
+               log_bound: float = DEFAULT_LOG_BOUND, rtol: float = DEFAULT_GEODESIC_RTOL,
                collect_traces: bool = False) -> list[dict]:
-    """Run consecutive reduction steps from the full model; returns stage reports.
+    """Run reduction steps from the full model while limits remain; returns stage reports.
 
     ``vel_ratio``, ``log_bound`` and ``rtol`` go to every :func:`mbam_step`.
+    Each stage applies the limit it diagnoses, so the order of the stages is
+    what the geodesics find, not a fixed chain.
 
     Each finished stage reports ``from_params`` -> ``to_params``, the
     diagnosed limit, and its wall-clock (plus its ``trace`` with
     ``collect_traces``).  A stage that raises :class:`ChainDivergenceError`
     or :class:`SolverError` ends the chain with a divergence record in place
-    of a reduction: it has ``from_params``, the ``expected_param`` of the
-    supported chain, and the error message under ``divergence``, but no
-    ``to_params``.  Its ``limit_param``, ``direction``, ``tau_boundary`` and
-    ``velocity_alignment`` are the off-chain diagnosis (the first two are
-    None when no boundary was diagnosed).  The finished stages before it are
-    kept.
+    of a reduction: it has ``from_params`` and the error message under
+    ``divergence``, but no ``to_params``.  Its ``limit_param``,
+    ``direction``, ``tau_boundary`` and ``velocity_alignment`` are the
+    diagnosis that could not be applied (the first two are None when no
+    boundary was diagnosed).  The finished stages before it are kept.
     """
     flags = LimitFlags()
     out = []
-    for _ in LIMIT_CHAIN:
+    while flags != LimitFlags.all():
         n_before = len(flags.active_params())
         t0 = time.monotonic()
         entry = {"from_params": n_before}
@@ -386,7 +396,6 @@ def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, vel_ratio: float = 1e3,
         except (ChainDivergenceError, SolverError) as exc:
             diag = getattr(exc, "diagnosis", None)
             trace = next_flags = None
-            entry["expected_param"] = LIMIT_REMOVES[LIMIT_CHAIN[flags.count()]]
             entry["divergence"] = str(exc)
         if diag is None:
             entry.update(limit_param=None, direction=None)

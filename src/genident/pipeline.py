@@ -31,9 +31,10 @@ from .dmaps import (
     rescale01,
     select_nonharmonic,
 )
-from .ensemble import EnsembleSpec, compare_tracks, run_ensemble, sample_ensemble
+from .ensemble import (DEFAULT_PROJECTION_THRESHOLD, EnsembleSpec, compare_tracks,
+                       run_ensemble, sample_ensemble)
 from .errors import ChainDivergenceError, DomainError
-from .fim import effective_dimension, fim, sensitivities, spectrum
+from .fim import DEFAULT_CUTOFF, effective_dimension, fim, sensitivities, spectrum
 from .generator import (
     PARAM_NAMES,
     STATE_NAMES,
@@ -42,8 +43,10 @@ from .generator import (
     ObservationGrid,
     integrate,
 )
-from .geodesics import mbam_chain, mbam_step
-from .harmonics import GHModel, JacobianReport, gh_fit, gh_predict, jacobian_report
+from .geodesics import (DEFAULT_GEODESIC_RTOL, DEFAULT_LOG_BOUND, DEFAULT_VEL_RATIO,
+                        mbam_chain, mbam_step)
+from .harmonics import (DEFAULT_DELTA, DEFAULT_RETAIN, GHModel, JacobianReport, gh_fit,
+                        gh_predict, jacobian_report)
 
 __all__ = ["Config", "Stage", "load_config", "run_stage", "STAGES", "write_csv",
            "embed_outputs", "select_coordinates", "GHTrack", "fit_gh_track",
@@ -63,18 +66,18 @@ class Config:
     t_end: float = 5.0
     dt: float = 0.02
     rtol: float = 1e-7
-    fim_cutoff: float = 1e-2
-    projection_threshold: float = 0.8
-    geo_vel_ratio: float = 1e3
-    geo_log_bound: float = 25.0
-    geo_rtol: float = 1e-6
+    fim_cutoff: float = DEFAULT_CUTOFF
+    projection_threshold: float = DEFAULT_PROJECTION_THRESHOLD
+    geo_vel_ratio: float = DEFAULT_VEL_RATIO
+    geo_log_bound: float = DEFAULT_LOG_BOUND
+    geo_rtol: float = DEFAULT_GEODESIC_RTOL
     dmaps_epsilon_mult: float = 3.0
     dmaps_k: int = 41
     residual_bandwidth_mult: float = DEFAULT_RESIDUAL_BANDWIDTH_MULT
     residual_max_k: int = 40
     target_dim: int = 0  # 0 means use the residual-gap rule
-    gh_retain: int = 250
-    gh_delta: float = 1e-9
+    gh_retain: int = DEFAULT_RETAIN
+    gh_delta: float = DEFAULT_DELTA
     gh_epsilon_mult: float = 0.5
     train_frac: float = 0.8
     split_seed: int = 1

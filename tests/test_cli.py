@@ -90,7 +90,8 @@ class TestConfig:
 
     def test_every_module_level_name_is_referenced(self):
         # functions, classes and constants of the package, and the public methods of its
-        # classes; an import (a re-export) is no use
+        # classes; an import (a re-export) is no use, and an attribute of an imported
+        # module (np.all, os.path) is no use of a method
         defined = {}
         for path, tree in _parsed("src/genident/*.py"):
             where = os.path.relpath(path, ROOT)
@@ -108,16 +109,26 @@ class TestConfig:
                     defined.update({f"{node.name}.{m.name}": f"{where}:{m.lineno}"
                                     for m in node.body if isinstance(m, ast.FunctionDef)
                                     and not m.name.startswith("_")})
-        used = set()
+        used, used_as_method = set(), set()
         for _, tree in _parsed("src/**/*.py", "tests/**/*.py", "demos/**/*.py",
                                "benchmarks/**/*.py"):
+            # names bound to modules: plain imports, and the package's submodules
+            modules = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules.update(a.asname or a.name.partition(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module in ("genident", None):
+                    modules.update(a.asname or a.name for a in node.names)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
+                    if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                        used_as_method.add(node.attr)
         unused = sorted(f"{where} {name}" for name, where in defined.items()
-                        if name.rpartition(".")[2] not in used)
+                        if name.rpartition(".")[2] not in
+                        (used_as_method if "." in name else used))
         assert not unused, f"package names and public methods nothing references: {unused}"
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from genident import generator
 from genident.errors import DomainError
 from genident.generator import (
     DEFAULT_CONSTANTS,
+    LIMIT_CHAIN,
     PARAM_NAMES,
     STATE_NAMES,
     BareParams,
@@ -149,13 +151,12 @@ class TestRhs:
 
 
 class TestLimitFlags:
-    def test_prefix_rule_enforced(self):
-        LimitFlags(d_zero=True)
-        LimitFlags(d_zero=True, h_zero=True)
-        with pytest.raises(DomainError):
-            LimitFlags(h_zero=True)  # skips d_zero
-        with pytest.raises(DomainError):
-            LimitFlags(d_zero=True, tdpp_zero=True)
+    def test_h_zero_requires_d_zero(self):
+        with pytest.raises(DomainError, match="h_zero requires d_zero"):
+            LimitFlags(h_zero=True)
+        # any other combination is valid, in any order of the chain
+        LimitFlags(d_zero=True, tdpp_zero=True)
+        LimitFlags(d_zero=True, h_zero=True, dx1_zero=True)
 
     def test_active_params_shrink_along_chain(self):
         assert LimitFlags.first(0).active_params() == PARAM_NAMES
@@ -168,6 +169,61 @@ class TestLimitFlags:
         assert LimitFlags.first(1).dynamic_states() == STATE_NAMES
         assert LimitFlags.first(2).dynamic_states() == ("eq1", "ed1", "eq2", "ed2")
         assert LimitFlags.all().dynamic_states() == ("eq1", "ed1")
+        assert LimitFlags(tdpp_zero=True).dynamic_states() == (
+            "delta", "omega", "eq1", "ed1", "ed2")
+
+
+def _valid_flag_sets():
+    valid = []
+    for bits in itertools.product((False, True), repeat=len(LIMIT_CHAIN)):
+        try:
+            valid.append(LimitFlags(**dict(zip(LIMIT_CHAIN, bits))))
+        except DomainError:
+            pass
+    return valid
+
+
+VALID_FLAGS = _valid_flag_sets()
+
+
+def _flags_id(flags):
+    return "+".join(nm for nm in LIMIT_CHAIN if getattr(flags, nm)) or "none"
+
+
+class TestEveryFlagSet:
+    """Each flag set that passes validation has one consistent state layout."""
+
+    def test_all_but_h_zero_without_d_zero_are_valid(self):
+        assert len(VALID_FLAGS) == 24
+
+    @pytest.mark.parametrize("flags", VALID_FLAGS, ids=_flags_id)
+    def test_rates_outputs_and_slaved_emfs(self, flags):
+        traj = integrate(NOM, flags)
+        y = observe(traj)
+        assert np.all(np.isfinite(y))
+        # each rate sits in its own state's slot: compare with the transcription at
+        # the consistent start state, with the flagged parameters at their limits
+        start = traj.at([0.0])[0, 0]
+        names = flags.dynamic_states()
+        d, _ = rhs(start, NOM, flags)
+        assert d.shape == (len(names),) and np.all(np.isfinite(d))
+        p = NOM.to_array()
+        for flag, name in (("d_zero", "D"), ("dx1_zero", "dx1")):
+            if getattr(flags, flag):
+                p[PARAM_NAMES.index(name)] = 0.0
+        want = _transcribed_rhs(start, p)
+        np.testing.assert_allclose(d, [want[STATE_NAMES.index(nm)] for nm in names],
+                                   rtol=1e-9, atol=1e-12)
+        # slaved EMFs follow the stator's closed forms at every output time
+        b = independent_to_bare(NOM)
+        s = traj.at(np.linspace(0.0, 5.0, 11))[0]
+        delta, eq1, ed1 = s[:, 0], s[:, 2], s[:, 3]
+        if flags.tdpp_zero:
+            eq2 = (b.x_d2 * eq1 + (b.x_d1 - b.x_d2) * 1.09 * np.cos(delta)) / b.x_d1
+            np.testing.assert_allclose(s[:, 4], eq2, rtol=1e-12)
+        if flags.tqpp_zero:
+            ed2 = (b.x_q2 * ed1 + (b.x_q1 - b.x_q2) * 1.09 * np.sin(delta)) / b.x_q1
+            np.testing.assert_allclose(s[:, 5], ed2, rtol=1e-12)
 
 
 class TestIntegrate:

@@ -7,10 +7,12 @@ from genident.errors import ChainDivergenceError, DomainError
 from genident.fim import central_difference_jacobian, fim, spectrum, generator_map
 from genident.generator import IndependentParams, LimitFlags
 from genident.geodesics import (
+    BoundaryDiagnosis,
     GeodesicState,
     GeodesicTrace,
     contraction_for_map,
     diagnose_boundary,
+    mbam_step,
     sloppiest_direction,
     trace_geodesic,
 )
@@ -189,17 +191,53 @@ class TestSpeedConservation:
         assert np.abs(speeds / speeds[0] - 1.0).max() <= 0.10
 
 
+class TestMbamStep:
+    """The step applies whichever limit its boundary diagnosis names."""
+
+    @pytest.fixture()
+    def diagnosed(self, monkeypatch):
+        from genident import geodesics
+
+        def trace(f, start, *, param_names, **options):
+            return GeodesicTrace(np.array([0.0, 1.0]), np.tile(start.theta, (2, 1)),
+                                 np.tile(start.velocity, (2, 1)), "boundary", param_names)
+
+        def use(diag):
+            monkeypatch.setattr(geodesics, "trace_geodesic", trace)
+            monkeypatch.setattr(geodesics, "diagnose_boundary", lambda tr: diag)
+
+        return use
+
+    def test_applies_the_diagnosed_limit(self, diagnosed):
+        diag = BoundaryDiagnosis("dx1", "to_zero", 9e-3, 1.0)
+        diagnosed(diag)
+        got, flags, _ = mbam_step(LimitFlags.first(2))
+        assert got is diag
+        assert flags == LimitFlags(d_zero=True, h_zero=True, dx1_zero=True)
+
+    @pytest.mark.parametrize("flags, diag", [
+        (LimitFlags.first(2), BoundaryDiagnosis("dx1", "to_infinity", 9e-3, 1.0)),
+        (LimitFlags.first(2), BoundaryDiagnosis("dTq", "to_zero", 9e-3, 1.0)),
+        (LimitFlags(), BoundaryDiagnosis("H", "to_zero", 4e-5, 1.0)),
+    ], ids=["to_infinity", "no_limit", "invalid_flags"])
+    def test_a_diagnosis_no_flag_can_apply_diverges(self, diagnosed, flags, diag):
+        diagnosed(diag)
+        with pytest.raises(ChainDivergenceError) as info:
+            mbam_step(flags)
+        assert info.value.diagnosis is diag
+
+
 class TestMbamChain:
     def test_divergence_record_keeps_finished_stages(self, monkeypatch):
         from genident import geodesics
-        from genident.geodesics import BoundaryDiagnosis, mbam_chain
+        from genident.geodesics import mbam_chain
         names = LimitFlags().active_params()
         trace = GeodesicTrace(np.array([0.0, 1.0]), np.zeros((2, len(names))),
                               np.ones((2, len(names))), "boundary", names)
 
         def step(flags, grid, **options):
-            if flags.count() == 0:
-                return BoundaryDiagnosis("D", "to_zero", 4e-5, 1.0), flags.with_next(), trace
+            if flags == LimitFlags():
+                return BoundaryDiagnosis("D", "to_zero", 4e-5, 1.0), LimitFlags(d_zero=True), trace
             raise ChainDivergenceError("off chain",
                                        diagnosis=BoundaryDiagnosis("dx1", "to_zero", 9e-3, 1.0))
 
@@ -211,5 +249,4 @@ class TestMbamChain:
         record = chain[1]
         assert "to_params" not in record and "trace" not in record
         assert record["from_params"] == 10
-        assert record["expected_param"] == "H"
         assert record["divergence"] == "off chain"
