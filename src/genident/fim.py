@@ -96,8 +96,10 @@ def generator_map(flags: LimitFlags = LimitFlags(),
     The returned callable accepts a (k, n_active) array of log-parameters and
     returns (k, M) outputs, integrating all rows in one shared-step solve at
     the tolerance :data:`SENSITIVITY_RTOL`.
-    Inactive (flagged-away) parameters are held at their nominal values, which
-    is immaterial because the flagged equations do not reference them.
+    Inactive (flagged-away) parameters are held at their nominal values.  D, H
+    and dx1 then drop out of the equations; Tdpp and Tqpp do not, since they
+    still enter the transient time constants T'_d0 = Tdpp + dTd and
+    T'_q0 = Tqpp + dTq.
     """
     active = flags.active_params()
     nominal = IndependentParams.nominal().to_array()

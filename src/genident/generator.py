@@ -10,12 +10,21 @@ inertia limit the swing equation becomes the power balance P_g(delta, x) = P_m,
 an index-1 DAE: the angle integrates with its implicit-function rate and is
 projected back onto the balance at the output times.
 
+Under every flag set the stator currents, the slaved EMFs and the EMF rates
+are affine in z = (the integrated states after the angle, v_d, v_q, 1), and
+so is the swing equation but for its -P_g/H term.  The model is therefore
+written once, as coefficient rows over z formed once per parameter block
+(:func:`_coefficients`); the right-hand side, the output reconstruction and
+the power-angle Newton all evaluate those rows.  P_g = v_d i_d + v_q i_q, and
+its partials in the angle and along the EMF rates are rows over z too.
+
 Five singular/regular limits (damping -> 0, inertia -> 0, the two subtransient
 time constants -> 0, and x_d -> x_q) each remove one parameter.  Each is a
 flag on the full model rather than a separately coded equation set, and the
 flags are independent: any set is valid as long as the inertia limit comes
 with the damping one.  Every flag set has one state layout, its
-``dynamic_states()``; slaved EMFs are closed by the stator algebra.
+``dynamic_states()``; a slaved EMF is the root of its own equation's right
+side.
 """
 
 from __future__ import annotations
@@ -298,67 +307,141 @@ DEFAULT_GRID = ObservationGrid()
 
 
 # ---------------------------------------------------------------------------
-# the model: stator algebra, EMF equations, parameter map
+# the model: affine coefficient rows, formed once per parameter block
 # ---------------------------------------------------------------------------
 
-def _stator(delta, x: dict, b, flags: LimitFlags):
-    """Stator algebra at rotor angle(s) ``delta``, for scalars or arrays.
+# positions of the model's affine quantities in a coefficient matrix: the currents
+# (i_d, i_q), the slope pair s, the drift pair w, e''_q and e''_d (states or
+# closed forms), then the rates of the integrated states (all of them, or all but
+# the angle's in the inertia limit)
+_SLOPE, _DRIFT, _EQ2, _ED2, _RATES = 2, 4, 6, 7, 8
 
-    ``x`` maps state names to values; e''_q and e''_d are read from it unless
-    their subtransient limit slaves them, in which case they are closed here.
-    Returns (v_d, v_q, i_d, i_q, P_g, eq2, ed2).
+
+def _integrated_states(flags: LimitFlags) -> tuple[str, ...]:
+    """The states the solver integrates: the dynamic ones, and in the inertia
+    limit (an index-1 DAE) the rotor angle ahead of them."""
+    return (("delta",) if flags.h_zero else ()) + flags.dynamic_states()
+
+
+def _coefficients(b: dict, flags: LimitFlags) -> np.ndarray:
+    """Coefficients of the model's affine quantities over z, shape (n, m + 3, R).
+
+    z = (the m integrated states after the angle, v_d, v_q, 1), with the speed
+    entering as its slip omega - omega_0, and ``b`` holds (n, 1) bare-parameter
+    arrays.  Column r holds quantity r's coefficients (positions ``_SLOPE``
+    onwards), so ``z @ coef`` evaluates them all.  The EMF equations are
+    written once; a subtransient limit slaves its EMF by solving its equation's
+    right side = 0 for it and substituting the result everywhere.  The swing
+    equation's rows leave out its one term that is not affine, -P_g/H.  With
+    P_g = v . i and v' = (v_q, -v_d) along the angle, dP_g/d(delta) = v . s with
+    s = di/d(delta) + (-i_q, i_d), and dP_g/dx . dx/dt = v . w with w the current
+    rows applied to the EMF rate rows.  Raises :class:`DomainError` for a zero
+    the model divides by under ``flags``.
     """
     c = DEFAULT_CONSTANTS
-    angle = delta - c.vartheta
-    v_d = c.V * np.sin(angle)
-    v_q = c.V * np.cos(angle)
-    if flags.tdpp_zero:
-        # e''_q = e'_q - (x'_d - x''_d) i_d closed under i_d = (e''_q - v_q)/x''_d
-        eq2 = (b["x_d2"] * x["eq1"] + (b["x_d1"] - b["x_d2"]) * v_q) / b["x_d1"]
-    else:
-        eq2 = x["eq2"]
-    i_d = (eq2 - v_q) / b["x_d2"]
-    if flags.tqpp_zero:
-        # e''_d = e'_d + (x'_q - x''_q) i_q closed under i_q = (v_d - e''_d)/x''_q
-        ed2 = (b["x_q2"] * x["ed1"] + (b["x_q1"] - b["x_q2"]) * v_d) / b["x_q1"]
-    else:
-        ed2 = x["ed2"]
-    i_q = (v_d - ed2) / b["x_q2"]
-    P_g = v_d * i_d + v_q * i_q
-    return v_d, v_q, i_d, i_q, P_g, eq2, ed2
-
-
-def _emf_rates(x: dict, alg, b, flags: LimitFlags) -> dict:
-    """The four EMF equations, for the EMFs that stay differential under ``flags``.
-
-    ``alg`` is :func:`_stator`'s result at the same state; the rates are keyed
-    by state name.
-    """
-    _, _, i_d, i_q, _, eq2, ed2 = alg
-    g = b["gaps"]
-    rates = {"eq1": (-x["eq1"] - g[0] * i_d + DEFAULT_CONSTANTS.v_f0) / b["T_d01"],
-             "ed1": (-x["ed1"] + g[1] * i_q) / b["T_q01"]}
-    if not flags.tdpp_zero:
-        rates["eq2"] = (-eq2 + x["eq1"] - g[2] * i_d) / b["T_d02"]
-    if not flags.tqpp_zero:
-        rates["ed2"] = (-ed2 + x["ed1"] + g[3] * i_q) / b["T_q02"]
-    return rates
+    divisors = {"x_d2": "xdpp", "T_d01": "T'_d0 = Tdpp + dTd", "T_q01": "T'_q0 = Tqpp + dTq",
+                "H": "H", "T_d02": "Tdpp", "T_q02": "Tqpp"}
+    unused = {"H": flags.h_zero, "T_d02": flags.tdpp_zero, "T_q02": flags.tqpp_zero}
+    for key, name in divisors.items():
+        if not unused.get(key) and np.any(b[key] == 0):
+            raise DomainError(f"{name} = 0 is a denominator of the model under these limits")
+    basis = STATE_NAMES[1:] + ("v_d", "v_q", "1")
+    u = dict(zip(basis, np.eye(len(basis))))
+    col = basis.index
+    # the stator algebra: the standard two-axis currents
+    i_d = (u["eq2"] - u["v_q"]) / b["x_d2"]
+    i_q = (u["v_d"] - u["ed2"]) / b["x_q2"]
+    # the EMF equations, as (time constant, right side)
+    eqs = {"eq1": (b["T_d01"], -u["eq1"] - (b["x_d"] - b["x_d1"]) * i_d + c.v_f0 * u["1"]),
+           "ed1": (b["T_q01"], -u["ed1"] + (b["x_q"] - b["x_q1"]) * i_q),
+           "eq2": (b["T_d02"], -u["eq2"] + u["eq1"] - (b["x_d1"] - b["x_d2"]) * i_d),
+           "ed2": (b["T_q02"], -u["ed2"] + u["ed1"] + (b["x_q1"] - b["x_q2"]) * i_q)}
+    # over the full basis: the currents, e''_q, e''_d, then the four right sides
+    rows = np.stack(np.broadcast_arrays(i_d, i_q, u["eq2"], u["ed2"],
+                                        *(side for _, side in eqs.values())), axis=1)
+    side = dict(zip(eqs, range(4, 8)))
+    names = _integrated_states(flags)[1:]
+    for nm in ("eq2", "ed2"):
+        if nm not in names:  # slaved: its right side = 0, solved for it, substituted everywhere
+            f = rows[:, side[nm]]
+            rows += rows[:, :, col(nm), None] * (-f / f[:, col(nm), None])[:, None, :]
+    emfs = [nm for nm in names if nm in eqs]
+    rates = [rows[:, side[nm]] / eqs[nm][0] for nm in emfs]
+    # s = di/d(delta) + (-i_q, i_d) and w = di/dx . dx/dt
+    slope = (rows[:, :2, col("v_d"), None] * u["v_q"] - rows[:, :2, col("v_q"), None] * u["v_d"]
+             + rows[:, 1::-1] * np.array([[-1.0], [1.0]]))
+    drift = sum(rows[:, :2, col(nm), None] * rate[:, None] for nm, rate in zip(emfs, rates))
+    if not flags.h_zero:
+        # the swing equation, but for its -P_g/H term
+        rates[:0] = [c.omega_b * u["omega"], (c.P_m * u["1"] - b["D"] * u["omega"]) / b["H"]]
+    coef = np.concatenate([rows[:, :2], slope, drift, rows[:, 2:4],
+                           np.stack(np.broadcast_arrays(*rates), axis=1)], axis=1)
+    keep = [col(nm) for nm in names + ("v_d", "v_q", "1")]
+    return np.ascontiguousarray(coef[..., keep].transpose(0, 2, 1))
 
 
 def _bare_arrays(ps: np.ndarray, flags: LimitFlags) -> dict:
-    """Bare-parameter arrays for a (n_sets, 11) block, with limits substituted.
+    """Bare parameters of an (n_sets, 11) block as (n_sets, 1) arrays, with the
+    limits substituted, and under ``"coef"`` their :func:`_coefficients`.
 
-    Flagged limits override the supplied values: D drops out, x_d is pinned to
-    x_q under dx1_zero; H, Tdpp, Tqpp disappear from the equations wherever
-    their limit flag is set.
+    Flagged limits override the supplied values: D is zero under d_zero and x_d
+    is pinned to x_q under dx1_zero.  H drops out under h_zero.  Tdpp and Tqpp
+    drop out of their own subtransient equations under their limits, but not
+    out of the transient time constants T'_d0 = Tdpp + dTd and T'_q0 = Tqpp + dTq.
     """
-    H, D, dx1, *rest = ps.T
+    H, D, dx1, *rest = ps.T[..., None]
     b = _bare(H, np.zeros_like(D) if flags.d_zero else D,
               np.zeros_like(dx1) if flags.dx1_zero else dx1, *rest)
-    # the reactance differences the EMF equations use, formed once per block
-    b["gaps"] = np.array((b["x_d"] - b["x_d1"], b["x_q"] - b["x_q1"],
-                          b["x_d1"] - b["x_d2"], b["x_q1"] - b["x_q2"]))
+    b["coef"] = _coefficients(b, flags)
     return b
+
+
+def _evaluate(coef: np.ndarray, rest: np.ndarray, delta: np.ndarray, swing: bool = False):
+    """z and the affine quantities z @ coef at points of ``delta``'s shape (n, T).
+
+    ``rest`` holds the integrated states after the angle, (m, n, T); z and the
+    second result are component first too, (m + 3, n, T) and (columns of
+    ``coef``, n, T), and ``coef`` may hold only its first columns.  With
+    ``swing`` the first of ``rest`` is the speed, which enters z as its slip
+    omega - omega_0.
+    """
+    c = DEFAULT_CONSTANTS
+    m = len(rest)
+    z = np.empty((m + 3,) + delta.shape)
+    z[:m] = rest
+    if swing:
+        z[0] -= c.omega_0
+    angle = delta - c.vartheta
+    np.multiply(c.V, np.sin(angle), out=z[m])
+    np.multiply(c.V, np.cos(angle), out=z[m + 1])
+    z[m + 2] = 1.0
+    return z, (z.transpose(1, 2, 0) @ coef).transpose(2, 0, 1)
+
+
+def _power(z: np.ndarray, val: np.ndarray, j: int) -> np.ndarray:
+    """v . (val[j], val[j + 1]): P_g at j = 0, dP_g/d(delta) at ``_SLOPE`` and
+    dP_g/dx . dx/dt at ``_DRIFT``."""
+    return z[-3] * val[j] + z[-2] * val[j + 1]
+
+
+def _rhs_kernel(y: np.ndarray, b: dict, flags: LimitFlags):
+    """Rates of the integrated states at points (n, T); y is (len(integrated), n, T).
+
+    y holds the states of :func:`_integrated_states`, component first.  In the
+    inertia limit the angle's rate is the implicit-function derivative of
+    P_g(delta, x) = P_m, d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta));
+    otherwise the swing equation's rows get their -P_g/H term.  Returns the
+    rates (shaped like y), z and the affine quantities of :func:`_evaluate`.
+    """
+    z, val = _evaluate(b["coef"], y[1:], y[0], swing=not flags.h_zero)
+    rates = np.empty(y.shape)
+    if flags.h_zero:
+        rates[0] = -_power(z, val, _DRIFT) / _power(z, val, _SLOPE)
+        rates[1:] = val[_RATES:]
+    else:
+        rates[:] = val[_RATES:]
+        rates[1] -= _power(z, val, 0) / b["H"]
+    return rates, z, val
 
 
 def algebraic_eval(s: StateVector, b: BareParams) -> AlgebraicVars:
@@ -371,44 +454,13 @@ def algebraic_eval(s: StateVector, b: BareParams) -> AlgebraicVars:
         raise ZeroDivisionError("subtransient reactances must be nonzero")
     if b.x_d2 < 0 or b.x_q2 < 0:
         raise DomainError("subtransient reactances must be positive")
-    v_d, v_q, i_d, i_q, P_g, _, _ = _stator(s.delta, vars(s), vars(b), LimitFlags())
-    return AlgebraicVars(float(v_d), float(v_q), float(i_d), float(i_q), float(P_g))
-
-
-# complex-step size for the derivatives of P_g; the real parts stay the plain values
-_CS_STEP = 1e-30
-
-
-def _stator_slope(delta, x: dict, b, flags: LimitFlags):
-    """:func:`_stator` at (delta, x) and dP_g/d(delta), from one complex-step evaluation."""
-    alg = _stator(delta + 1j * _CS_STEP, x, b, flags)
-    return [a.real for a in alg], alg[4].imag / _CS_STEP
-
-
-def _rates(x: dict, b, flags: LimitFlags):
-    """Stator algebra and the rate of every integrated state, keyed by state name.
-
-    These are the states of ``flags.dynamic_states()``, plus in the inertia
-    limit the rotor angle, whose rate is the implicit-function derivative of
-    P_g(delta, x) = P_m, d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta)),
-    with both partials taken by complex step.  Vectorized over parameter sets.
-    """
-    if flags.h_zero:
-        alg, dP_delta = _stator_slope(x["delta"], x, b, flags)
-        rates = _emf_rates(x, alg, b, flags)
-        moved = {nm: x[nm] + 1j * _CS_STEP * r for nm, r in rates.items()}
-        dP_x = _stator(x["delta"], moved, b, flags)[4].imag / _CS_STEP
-        rates["delta"] = -dP_x / dP_delta
-        return alg, rates
-    c = DEFAULT_CONSTANTS
-    alg = _stator(x["delta"], x, b, flags)
-    rates = _emf_rates(x, alg, b, flags)
-    slip = x["omega"] - c.omega_0
-    acc = c.P_m - alg[4]
-    if not flags.d_zero:
-        acc = acc - b["D"] * slip
-    rates["delta"], rates["omega"] = c.omega_b * slip, acc / b["H"]
-    return alg, rates
+    coef = _coefficients({key: np.full((1, 1), val) for key, val in vars(b).items()},
+                         LimitFlags())
+    z, val = _evaluate(coef, s.to_array()[1:].reshape(-1, 1, 1), np.full((1, 1), s.delta),
+                       swing=True)
+    v_d, v_q = (float(v) for v in z[-3:-1, 0, 0])
+    i_d, i_q = (float(i) for i in val[:2, 0, 0])
+    return AlgebraicVars(v_d, v_q, i_d, i_q, v_d * i_d + v_q * i_q)
 
 
 # the power-angle Newton stops once every |P_g - P_m| is below this, and gives
@@ -420,28 +472,30 @@ _ANGLE_MAX_ITER = 60
 def solve_power_angle(st: dict, b, flags: LimitFlags, guess=None) -> np.ndarray:
     """Rotor angle(s) satisfying the power balance P_g(delta) = P_m.
 
-    Safeguarded Newton (slope by complex step) with a bisection fallback on
-    the operating branch delta in (vartheta, vartheta + pi/2), from ``guess``.
-    Fully vectorized: the state arrays may carry any shape (parameter sets,
-    or parameter sets x time nodes), broadcast against the bare arrays.
+    Safeguarded Newton, its slope from the coefficient rows in ``b``, with a
+    bisection fallback on the operating branch delta in (vartheta,
+    vartheta + pi/2), from ``guess``.  ``st`` maps the integrated states after
+    the angle (:func:`_integrated_states`) to (n, T) arrays, n the parameter
+    sets of ``b``; the angles come back as one such array.
     """
     c = DEFAULT_CONSTANTS
-    shape = np.broadcast(st["eq1"], b["x_d2"]).shape
+    rest = np.stack([st[nm] for nm in _integrated_states(flags)[1:]])
+    coef = b["coef"][..., :_DRIFT]  # the currents and the slope pair
+    shape = rest.shape[1:]
     bracket = np.empty((2,) + shape)
     bracket[0] = c.vartheta + 1e-12
     bracket[1] = c.vartheta + math.pi / 2 - 1e-12
 
     def residual(delta):  # P_g - P_m and its slope in delta
-        alg, slope = _stator_slope(delta, st, b, flags)
-        return alg[4] - c.P_m, slope
+        z, val = _evaluate(coef, rest, delta)
+        return _power(z, val, 0) - c.P_m, _power(z, val, _SLOPE)
 
-    # the residual is elementwise, so stacked angle arrays share one evaluation
-    r_lo, r_hi = residual(bracket)[0]
+    r_lo, r_hi = residual(bracket[0])[0], residual(bracket[1])[0]
     if (r_lo * r_hi > 0).any():
         bad = float(np.min(np.minimum(np.abs(r_lo), np.abs(r_hi))[r_lo * r_hi > 0]))
         raise SolverError("power balance has no root on the operating branch",
                           residual=bad)
-    lo, hi = bracket[0, ...], bracket[1, ...]  # views, also for 0-d states
+    lo, hi = bracket  # views
     delta = (np.full(shape, 0.8) if guess is None
              else np.asarray(guess, dtype=float)).clip(lo, hi)
     r, dr = residual(delta)
@@ -477,12 +531,14 @@ def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlag
     """
     b = _bare_arrays(p.to_array()[None, :], flags)
     arr = np.asarray(s.to_array() if isinstance(s, StateVector) else s, dtype=float)
-    x = {name: arr[i:i + 1] for i, name in enumerate(STATE_NAMES)}
+    names = _integrated_states(flags)
+    y = arr[[STATE_NAMES.index(nm) for nm in names]].reshape(-1, 1, 1)
     if flags.h_zero:
-        x["delta"] = solve_power_angle(x, b, flags, guess=arr[:1] if arr[0] > 0 else None)
-    alg, rates = _rates(x, b, flags)
-    d = np.concatenate([rates[nm] for nm in flags.dynamic_states()])
-    return d, {"power_balance": float(DEFAULT_CONSTANTS.P_m - alg[4][0])}
+        y[0] = solve_power_angle(dict(zip(names, y)), b, flags,
+                                 guess=y[0] if arr[0] > 0 else None)
+    rates, z, val = _rhs_kernel(y, b, flags)
+    d = rates[1:, 0, 0] if flags.h_zero else rates[:, 0, 0]
+    return d, {"power_balance": float(DEFAULT_CONSTANTS.P_m - _power(z, val, 0)[0, 0])}
 
 
 @dataclass(frozen=True)
@@ -522,6 +578,11 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     inertia limit the rotor angle starts from one power-angle solve and is
     integrated with the EMFs; the returned trajectory projects it back onto
     the power balance, with one more solve per evaluation.
+
+    The model's coefficient rows are formed once per call, so each right-hand
+    side evaluation is sin and cos of the angles, one batched matmul over
+    z = (states after the angle, v_d, v_q, 1), and either the swing equation's
+    -P_g/H term or the inertia limit's angle rate (:func:`_rhs_kernel`).
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if not np.all(np.isfinite(params)) or np.any(params < 0):
@@ -538,37 +599,35 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         return Trajectory(np.array([t_start]), (t_start, t_end), n,
                           lambda t: np.tile(x0, (n, len(t), 1)))
 
-    # the integrated states: the dynamic ones, and in the inertia limit (an index-1
-    # DAE) the rotor angle ahead of them, with its implicit-function rate
-    names = (("delta",) if flags.h_zero else ()) + flags.dynamic_states()
-    b2 = {key: np.asarray(val)[..., None] for key, val in b.items()}  # broadcast over time
+    names = _integrated_states(flags)
 
-    def columns(s):
-        """All six states, (n, m) each, from (n, k, m) integrated ones; slaved EMFs
-        from the stator.  In the inertia limit the angle is projected onto P_g = P_m
-        (warm-started from the integrated one) and ``omega`` holds its rate."""
-        x = dict(zip(names, s.transpose(1, 0, 2)))
+    def columns(y):
+        """All six states, (n, T) each, from the (k, n, T) integrated ones; slaved
+        EMFs from their coefficient rows.  In the inertia limit the angle is
+        projected onto P_g = P_m (warm-started from the integrated one) and
+        ``omega`` holds its rate."""
+        x = dict(zip(names, y))
         if flags.h_zero:
-            x["delta"] = solve_power_angle(x, b2, flags, guess=x["delta"])
-            alg, rates = _rates(x, b2, flags)
-            x["omega"] = rates["delta"]
-        else:
-            alg = _stator(x["delta"], x, b2, flags)
-        x["eq2"], x["ed2"] = alg[5], alg[6]
+            x["delta"] = solve_power_angle(x, b, flags, guess=y[0])
+            y = np.stack([x[nm] for nm in names])
+        rates, _, val = _rhs_kernel(y, b, flags)
+        if flags.h_zero:
+            x["omega"] = rates[0]
+        if flags.tdpp_zero:
+            x["eq2"] = val[_EQ2]
+        if flags.tqpp_zero:
+            x["ed2"] = val[_ED2]
         return x
 
-    s0 = np.tile(x0[[STATE_NAMES.index(nm) for nm in names]], (n, 1))
+    # the solver's state is component first: each integrated state for all n sets
+    s0 = np.repeat(x0[[STATE_NAMES.index(nm) for nm in names], None], n, axis=1)
     if flags.h_zero:
         # consistent start; rotor speed follows the angle's rate from its supplied value
         start = columns(s0[..., None])
-        s0[:, 0], ddelta0 = start["delta"][:, 0], start["omega"]
+        s0[0], ddelta0 = start["delta"][:, 0], start["omega"]
 
     def f(t, y):
-        _, rates = _rates(dict(zip(names, y.reshape(n, -1).T)), b, flags)
-        out = np.empty((n, len(names)))
-        for j, nm in enumerate(names):
-            out[:, j] = rates[nm]
-        return out.ravel()
+        return _rhs_kernel(y.reshape(-1, n, 1), b, flags)[0].ravel()
 
     sol = solve_ivp(f, (t_start, t_end), s0.ravel(), method="RK45", rtol=rtol, atol=atol,
                     dense_output=True, first_step=1e-4, max_step=0.05)
@@ -576,7 +635,7 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         raise SolverError(f"integration failed: {sol.message}")
 
     def evaluator(t):
-        x = columns(sol.sol(t).reshape(n, -1, len(t)))
+        x = columns(sol.sol(t).reshape(-1, n, len(t)))
         if flags.h_zero:
             x["omega"] = ics.omega + (x["omega"] - ddelta0) / DEFAULT_CONSTANTS.omega_b
         return np.stack([x[nm] for nm in STATE_NAMES], axis=-1)

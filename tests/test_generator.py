@@ -1,8 +1,10 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from genident import generator
 from genident.errors import DomainError
@@ -127,6 +129,49 @@ def _transcribed_rhs(state, p):
     ]
 
 
+def _transcribed_stator(delta, eq1, ed1, eq2, ed2, p, flags):
+    """v_d, v_q, e''_q and e''_d, the slaved EMFs closed, by a straight-line
+    transcription; complex arguments pass through, for complex-step derivatives."""
+    xdpp, dx4, dx3 = (p[PARAM_NAMES.index(nm)] for nm in ("xdpp", "dx4", "dx3"))
+    xdp = xdpp + dx4
+    xqp = xdp + dx3
+    v_d = 1.09 * np.sin(delta)
+    v_q = 1.09 * np.cos(delta)
+    if flags.tdpp_zero:
+        eq2 = (xdpp * eq1 + (xdp - xdpp) * v_q) / xdp
+    if flags.tqpp_zero:
+        ed2 = (xdpp * ed1 + (xqp - xdpp) * v_d) / xqp
+    return v_d, v_q, eq2, ed2
+
+
+def _transcribed_power(delta, eq1, ed1, eq2, ed2, p, flags):
+    """P_g = v_d i_d + v_q i_q from :func:`_transcribed_stator`."""
+    v_d, v_q, eq2, ed2 = _transcribed_stator(delta, eq1, ed1, eq2, ed2, p, flags)
+    xdpp = p[PARAM_NAMES.index("xdpp")]
+    return v_d * (eq2 - v_q) / xdpp + v_q * (v_d - ed2) / xdpp
+
+
+def _at_limits(flags):
+    """Nominal independent parameters with D and dx1 at their limits where flagged."""
+    p = NOM.to_array()
+    for flag, name in (("d_zero", "D"), ("dx1_zero", "dx1")):
+        if getattr(flags, flag):
+            p[PARAM_NAMES.index(name)] = 0.0
+    return p
+
+
+def _random_state(rng, p, flags, balanced=True):
+    """A random full state with the slaved EMFs at their closed forms; in the
+    inertia limit, if ``balanced``, the angle is the root of the power balance."""
+    state = np.array([rng.uniform(0.2, 1.2), rng.uniform(0.95, 1.05), rng.uniform(1.6, 2.6),
+                      rng.uniform(-0.3, 0.3), rng.uniform(1.4, 2.4), rng.uniform(-0.3, 0.3)])
+    if flags.h_zero and balanced:
+        state[0] = brentq(lambda d: _transcribed_power(d, *state[2:], p, flags) - 0.7,
+                          1e-9, math.pi / 2 - 1e-9, xtol=1e-15)
+    state[4:] = _transcribed_stator(state[0], *state[2:], p, flags)[2:]
+    return state
+
+
 class TestRhs:
     def test_reference_speed_freezes_angle(self):
         s = StateVector(omega=DEFAULT_CONSTANTS.omega_0)
@@ -207,13 +252,18 @@ class TestEveryFlagSet:
         names = flags.dynamic_states()
         d, _ = rhs(start, NOM, flags)
         assert d.shape == (len(names),) and np.all(np.isfinite(d))
-        p = NOM.to_array()
-        for flag, name in (("d_zero", "D"), ("dx1_zero", "dx1")):
-            if getattr(flags, flag):
-                p[PARAM_NAMES.index(name)] = 0.0
+        p = _at_limits(flags)
         want = _transcribed_rhs(start, p)
         np.testing.assert_allclose(d, [want[STATE_NAMES.index(nm)] for nm in names],
                                    rtol=1e-9, atol=1e-12)
+        # and at random states away from it
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            state = _random_state(rng, p, flags)
+            d, _ = rhs(state, NOM, flags)
+            want = _transcribed_rhs(state, p)
+            np.testing.assert_allclose(d, [want[STATE_NAMES.index(nm)] for nm in names],
+                                       rtol=1e-12, atol=1e-12)
         # slaved EMFs follow the stator's closed forms at every output time
         b = independent_to_bare(NOM)
         s = traj.at(np.linspace(0.0, 5.0, 11))[0]
@@ -224,6 +274,25 @@ class TestEveryFlagSet:
         if flags.tqpp_zero:
             ed2 = (b.x_q2 * ed1 + (b.x_q1 - b.x_q2) * 1.09 * np.sin(delta)) / b.x_q1
             np.testing.assert_allclose(s[:, 5], ed2, rtol=1e-12)
+
+    @pytest.mark.parametrize("flags", [f for f in VALID_FLAGS if f.h_zero], ids=_flags_id)
+    def test_angle_rate_is_the_implicit_function_derivative(self, flags):
+        # d(delta)/dt = -(dP/dx . dx/dt) / (dP/d(delta)), both partials by complex step
+        p = _at_limits(flags)
+        b = generator._bare_arrays(NOM.to_array()[None, :], flags)
+        names = ("delta",) + flags.dynamic_states()
+        h = 1e-30
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            # off the power balance too: the rate formula holds at any angle
+            state = _random_state(rng, p, flags, balanced=False)
+            y = state[[STATE_NAMES.index(nm) for nm in names]].reshape(-1, 1, 1)
+            rate = generator._rhs_kernel(y, b, flags)[0][0, 0, 0]
+            delta, x = state[0], state[2:]
+            xdot = np.array(_transcribed_rhs(state, p)[2:])
+            dP_delta = _transcribed_power(delta + 1j * h, *x, p, flags).imag / h
+            dP_x = _transcribed_power(delta, *(x + 1j * h * xdot), p, flags).imag / h
+            np.testing.assert_allclose(rate, -dP_x / dP_delta, rtol=1e-10)
 
 
 class TestIntegrate:
@@ -254,6 +323,20 @@ class TestIntegrate:
     def test_negative_param_rejected(self):
         with pytest.raises(DomainError):
             integrate(NOM, ics=StateVector(), t_end=-1.0)
+
+    @pytest.mark.parametrize("name, zeros, flags", [
+        ("H", ("H",), LimitFlags()),
+        ("Tdpp", ("Tdpp",), LimitFlags(d_zero=True)),
+        ("Tqpp", ("Tqpp",), LimitFlags(tdpp_zero=True)),
+        ("xdpp", ("xdpp",), LimitFlags()),
+        ("xdpp", ("xdpp",), LimitFlags.all()),
+        ("T'_d0", ("Tdpp", "dTd"), LimitFlags(tdpp_zero=True)),
+        ("T'_q0", ("Tqpp", "dTq"), LimitFlags.all()),
+    ], ids=["H", "Tdpp", "Tqpp", "xdpp", "xdpp-all", "Td0p", "Tq0p"])
+    def test_zero_denominator_rejected(self, name, zeros, flags):
+        p = IndependentParams(**{**NOM.__dict__, **dict.fromkeys(zeros, 0.0)})
+        with pytest.raises(DomainError, match=re.escape(name)):
+            integrate(p, flags)
 
 
 class TestObserve:
