@@ -16,12 +16,7 @@ import numpy as np
 
 from genident.fim import fim, generator_map, sensitivities, spectrum
 from genident.generator import IndependentParams, LimitFlags
-from genident.geodesics import (
-    GeodesicState,
-    diagnose_boundary,
-    sloppiest_direction,
-    trace_geodesic,
-)
+from genident.geodesics import diagnose_boundary, sloppiest_direction, trace_geodesic
 from genident.svgplot import line_plot
 
 f = generator_map(LimitFlags())
@@ -34,8 +29,7 @@ sqrt_lmin = math.sqrt(sp.eigenvalues[-1])
 print(f"sqrt(lambda_min) = {sqrt_lmin:.3e}")
 
 v0 = sloppiest_direction(sp.eigenvalues, sp.eigenvectors)
-trace = trace_geodesic(f, GeodesicState(theta0, v0), tau_max=10 * sqrt_lmin,
-                       param_names=names)
+trace = trace_geodesic(f, theta0, v0, tau_max=10 * sqrt_lmin, param_names=names)
 print(f"terminated: {trace.terminated} ({trace.detail}) after "
       f"{len(trace.taus)} steps, tau_end={trace.taus[-1]:.3e}")
 

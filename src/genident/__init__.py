@@ -13,16 +13,11 @@ they declare identifiable.
 
 from .errors import ChainDivergenceError, DomainError, SolverError
 from .generator import (
-    BareParams,
-    Constants,
     IndependentParams,
     LimitFlags,
     ObservationGrid,
     StateVector,
     Trajectory,
-    algebraic_eval,
-    bare_to_independent,
-    independent_to_bare,
     integrate,
     observe,
 )

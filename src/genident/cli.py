@@ -27,6 +27,9 @@ EXIT_DISAGREEMENT = 4
 
 _STAGE_COMMANDS = [*PIPELINE_ORDER, "pipeline"]
 
+#: ensemble size of the paper's protocol, which ``--paper-scale`` selects
+PAPER_SCALE_SAMPLES = 10000
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -41,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, help="parallel workers")
         p.add_argument("--out", default="out", help="run directory (default: out)")
         p.add_argument("--paper-scale", action="store_true",
-                       help="use the full 10000-sample protocol")
+                       help=f"use the full {PAPER_SCALE_SAMPLES}-sample protocol")
         p.add_argument("--svg", action="store_true", help="emit SVG plots")
 
     for name in _STAGE_COMMANDS:
@@ -51,10 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--strict", action="store_true",
                            help="exit 4 if the tracks disagree")
 
-    p = sub.add_parser("gh-eval", help="evaluate a stored regression model")
+    p = sub.add_parser("gh-eval", help="evaluate a stored regression model; inputs and "
+                       "predictions are in the [0, 1] units of its training rescaling")
     common(p)
     p.add_argument("--model", required=True, help="gh model JSON")
-    p.add_argument("--inputs", required=True, help="CSV of input rows")
+    p.add_argument("--inputs", required=True, help="CSV of input rows, in [0, 1] units")
     p.add_argument("--predictions", default=None,
                    help="output CSV (default: <out>/gh_eval.csv)")
     return ap
@@ -66,7 +70,7 @@ def _config_from_args(args) -> Config:
         overrides["svg"] = True
     cfg = load_config(args.config, **overrides)
     if args.paper_scale:
-        cfg = dataclasses.replace(cfg, n_samples=cfg.paper_scale_samples)
+        cfg = dataclasses.replace(cfg, n_samples=PAPER_SCALE_SAMPLES)
     return cfg
 
 

@@ -56,20 +56,6 @@ class Dataset:
     col_max: np.ndarray
     constant_columns: np.ndarray  # bool mask of columns that had zero range
 
-    def inverse(self, rows01: np.ndarray | None = None) -> np.ndarray:
-        """Map rescaled rows back to raw units (constant columns restored)."""
-        r = self.rows if rows01 is None else np.asarray(rows01, dtype=float)
-        span = np.where(self.constant_columns, 0.0, self.col_max - self.col_min)
-        return self.col_min + r * span
-
-    def apply(self, raw: np.ndarray) -> np.ndarray:
-        """Rescale new raw rows with the stored column ranges."""
-        raw = np.asarray(raw, dtype=float)
-        span = self.col_max - self.col_min
-        out = np.where(self.constant_columns[None, :], 0.5,
-                       (raw - self.col_min[None, :]) / np.where(span == 0, 1.0, span)[None, :])
-        return out
-
 
 @dataclass(frozen=True)
 class DMapsEmbedding:
@@ -304,9 +290,9 @@ def select_nonharmonic(report: ResidualReport,
     """Pick the non-harmonic eigenvector indices from the residual profile.
 
     With ``target_dim`` the largest residuals win outright; otherwise the cut
-    is placed at the largest ratio between consecutive sorted residuals.  An
-    ambiguous largest gap (ratio below ``_AMBIGUITY_RATIO``) is reported with
-    both candidate sets.
+    is placed at the largest ratio between consecutive sorted residuals, which
+    needs at least two of them.  An ambiguous largest gap (ratio below
+    ``_AMBIGUITY_RATIO``) is reported with both candidate sets.
     """
     r = np.asarray(report.residuals, dtype=float)
     idx = np.asarray(report.indices)
@@ -316,6 +302,8 @@ def select_nonharmonic(report: ResidualReport,
             raise DomainError("target_dim out of range")
         chosen = np.sort(idx[order[:target_dim]])
         return NonharmonicSelection(tuple(int(i) for i in chosen), False, float("inf"))
+    if len(r) < 2:
+        raise DomainError(f"the residual-gap rule needs at least two residuals, got {len(r)}")
     sorted_r = r[order]
     with np.errstate(divide="ignore"):
         ratios = sorted_r[:-1] / sorted_r[1:]

@@ -1,4 +1,4 @@
-"""Model map, sensitivities, Fisher information spectrum, effective dimension.
+"""Batched model map, sensitivities, Fisher information spectrum, effective dimension.
 
 Sensitivities are central differences in log-parameter coordinates evaluated
 through a single shared-step batched integration, so the differenced outputs
@@ -28,7 +28,6 @@ __all__ = [
     "SensitivityMatrix",
     "FIMatrix",
     "InfoSpectrum",
-    "model_map",
     "generator_map",
     "central_points",
     "central_columns",
@@ -114,16 +113,7 @@ def generator_map(flags: LimitFlags = LimitFlags(),
         out = observe(traj, grid)
         return np.atleast_2d(out)
 
-    f.param_names = active
-    f.output_dim = grid.size()
     return f
-
-
-def model_map(p: IndependentParams, flags: LimitFlags = LimitFlags(),
-              grid: ObservationGrid = DEFAULT_GRID) -> np.ndarray:
-    """Concatenated observation vector for one parameter set (deterministic)."""
-    traj = integrate_batch(p.to_array()[None, :], flags, t_end=grid.t_end)
-    return observe(traj, grid)
 
 
 def central_points(x0: np.ndarray, step: float) -> np.ndarray:

@@ -39,21 +39,14 @@ from scipy.integrate import solve_ivp
 from .errors import DomainError, SolverError
 
 __all__ = [
-    "Constants",
     "IndependentParams",
-    "BareParams",
     "StateVector",
-    "AlgebraicVars",
     "LimitFlags",
     "Trajectory",
     "ObservationGrid",
     "PARAM_NAMES",
     "STATE_NAMES",
     "LIMIT_CHAIN",
-    "DEFAULT_CONSTANTS",
-    "independent_to_bare",
-    "bare_to_independent",
-    "algebraic_eval",
     "rhs",
     "integrate",
     "integrate_batch",
@@ -82,28 +75,15 @@ LIMIT_REMOVES = {
     "dx1_zero": "dx1",
 }
 
-@dataclass(frozen=True)
-class Constants:
-    """Fixed quantities of the infinite-bus configuration (per-unit system).
-
-    ``omega_b`` is the base angular frequency in rad/s; rotor speed itself is
-    per-unit, so the reference speed ``omega_0`` is 1.
-    """
-
-    omega_b: float = 120.0 * math.pi
-    v_f0: float = 4.2
-    P_m: float = 0.7
-    V: float = 1.09
-    vartheta: float = 0.0
-    omega_0: float = 1.0
-
-    def __post_init__(self):
-        for name in ("omega_b", "v_f0", "P_m", "V", "omega_0"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"constant {name} must be positive")
-
-
-DEFAULT_CONSTANTS = Constants()
+# fixed quantities of the infinite-bus configuration (per-unit system): the base
+# angular frequency in rad/s, the field voltage, the mechanical power, the bus
+# voltage magnitude and angle, and the reference speed (rotor speed is per-unit)
+OMEGA_B = 120.0 * math.pi
+V_F0 = 4.2
+P_M = 0.7
+V_BUS = 1.09
+VARTHETA = 0.0
+OMEGA_0 = 1.0
 
 
 @dataclass(frozen=True)
@@ -149,32 +129,13 @@ class IndependentParams:
         return cls()
 
 
-@dataclass(frozen=True)
-class BareParams:
-    """Machine parameters in their physical (ordering-constrained) form."""
-
-    H: float
-    D: float
-    x_d: float
-    x_q: float
-    x_q1: float  # x'_q
-    x_d1: float  # x'_d
-    x_q2: float  # x''_q
-    x_d2: float  # x''_d
-    T_d01: float  # T'_d0
-    T_d02: float  # T''_d0
-    T_q01: float  # T'_q0
-    T_q02: float  # T''_q0
-
-    def ordering_satisfied(self, tol: float = 1e-12) -> bool:
-        chain = (self.x_d, self.x_q, self.x_q1, self.x_d1, self.x_q2, self.x_d2, 0.0)
-        react_ok = all(a >= b - tol for a, b in zip(chain, chain[1:]))
-        t_ok = self.T_d01 >= self.T_d02 - tol >= -tol and self.T_q01 >= self.T_q02 - tol >= -tol
-        return react_ok and t_ok
-
-
 def _bare(H, D, dx1, dx2, dx3, dx4, xdpp, dTd, dTq, Tdpp, Tqpp) -> dict:
-    """Accumulate the increments into the bare parameters (scalars or arrays)."""
+    """Accumulate the increments into the bare parameters (scalars or arrays).
+
+    The only increment-to-bare map: non-negative increments give
+    x_d >= x_q >= x'_q >= x'_d >= x''_q >= x''_d >= 0 and T'_d0 >= T''_d0,
+    T'_q0 >= T''_q0 by construction.
+    """
     x_q2 = xdpp  # dx5 = 0, so x''_q == x''_d
     x_d1 = x_q2 + dx4
     x_q1 = x_d1 + dx3
@@ -186,26 +147,6 @@ def _bare(H, D, dx1, dx2, dx3, dx4, xdpp, dTd, dTq, Tdpp, Tqpp) -> dict:
         "T_d01": Tdpp + dTd, "T_d02": Tdpp,
         "T_q01": Tqpp + dTq, "T_q02": Tqpp,
     }
-
-
-def independent_to_bare(p: IndependentParams) -> BareParams:
-    """Accumulate the increment parameters into the physical reactance chain.
-
-    The result satisfies x_d >= x_q >= x'_q >= x'_d >= x''_q >= x''_d >= 0 and
-    the time-constant orderings by construction.
-    """
-    return BareParams(**_bare(*(getattr(p, n) for n in PARAM_NAMES)))
-
-
-def bare_to_independent(b: BareParams) -> IndependentParams:
-    """Inverse of :func:`independent_to_bare` by successive differencing."""
-    return IndependentParams(
-        H=b.H, D=b.D,
-        dx1=b.x_d - b.x_q, dx2=b.x_q - b.x_q1, dx3=b.x_q1 - b.x_d1,
-        dx4=b.x_d1 - b.x_q2, xdpp=b.x_d2,
-        dTd=b.T_d01 - b.T_d02, dTq=b.T_q01 - b.T_q02,
-        Tdpp=b.T_d02, Tqpp=b.T_q02,
-    )
 
 
 @dataclass(frozen=True)
@@ -226,15 +167,6 @@ class StateVector:
     def from_array(cls, a: Sequence[float]) -> "StateVector":
         a = np.asarray(a, dtype=float)
         return cls(*(float(v) for v in a))
-
-
-@dataclass(frozen=True)
-class AlgebraicVars:
-    v_d: float
-    v_q: float
-    i_d: float
-    i_q: float
-    P_g: float
 
 
 @dataclass(frozen=True)
@@ -338,7 +270,6 @@ def _coefficients(b: dict, flags: LimitFlags) -> np.ndarray:
     rows applied to the EMF rate rows.  Raises :class:`DomainError` for a zero
     the model divides by under ``flags``.
     """
-    c = DEFAULT_CONSTANTS
     divisors = {"x_d2": "xdpp", "T_d01": "T'_d0 = Tdpp + dTd", "T_q01": "T'_q0 = Tqpp + dTq",
                 "H": "H", "T_d02": "Tdpp", "T_q02": "Tqpp"}
     unused = {"H": flags.h_zero, "T_d02": flags.tdpp_zero, "T_q02": flags.tqpp_zero}
@@ -352,7 +283,7 @@ def _coefficients(b: dict, flags: LimitFlags) -> np.ndarray:
     i_d = (u["eq2"] - u["v_q"]) / b["x_d2"]
     i_q = (u["v_d"] - u["ed2"]) / b["x_q2"]
     # the EMF equations, as (time constant, right side)
-    eqs = {"eq1": (b["T_d01"], -u["eq1"] - (b["x_d"] - b["x_d1"]) * i_d + c.v_f0 * u["1"]),
+    eqs = {"eq1": (b["T_d01"], -u["eq1"] - (b["x_d"] - b["x_d1"]) * i_d + V_F0 * u["1"]),
            "ed1": (b["T_q01"], -u["ed1"] + (b["x_q"] - b["x_q1"]) * i_q),
            "eq2": (b["T_d02"], -u["eq2"] + u["eq1"] - (b["x_d1"] - b["x_d2"]) * i_d),
            "ed2": (b["T_q02"], -u["ed2"] + u["ed1"] + (b["x_q1"] - b["x_q2"]) * i_q)}
@@ -373,7 +304,7 @@ def _coefficients(b: dict, flags: LimitFlags) -> np.ndarray:
     drift = sum(rows[:, :2, col(nm), None] * rate[:, None] for nm, rate in zip(emfs, rates))
     if not flags.h_zero:
         # the swing equation, but for its -P_g/H term
-        rates[:0] = [c.omega_b * u["omega"], (c.P_m * u["1"] - b["D"] * u["omega"]) / b["H"]]
+        rates[:0] = [OMEGA_B * u["omega"], (P_M * u["1"] - b["D"] * u["omega"]) / b["H"]]
     coef = np.concatenate([rows[:, :2], slope, drift, rows[:, 2:4],
                            np.stack(np.broadcast_arrays(*rates), axis=1)], axis=1)
     keep = [col(nm) for nm in names + ("v_d", "v_q", "1")]
@@ -405,15 +336,14 @@ def _evaluate(coef: np.ndarray, rest: np.ndarray, delta: np.ndarray, swing: bool
     ``swing`` the first of ``rest`` is the speed, which enters z as its slip
     omega - omega_0.
     """
-    c = DEFAULT_CONSTANTS
     m = len(rest)
     z = np.empty((m + 3,) + delta.shape)
     z[:m] = rest
     if swing:
-        z[0] -= c.omega_0
-    angle = delta - c.vartheta
-    np.multiply(c.V, np.sin(angle), out=z[m])
-    np.multiply(c.V, np.cos(angle), out=z[m + 1])
+        z[0] -= OMEGA_0
+    angle = delta - VARTHETA
+    np.multiply(V_BUS, np.sin(angle), out=z[m])
+    np.multiply(V_BUS, np.cos(angle), out=z[m + 1])
     z[m + 2] = 1.0
     return z, (z.transpose(1, 2, 0) @ coef).transpose(2, 0, 1)
 
@@ -444,25 +374,6 @@ def _rhs_kernel(y: np.ndarray, b: dict, flags: LimitFlags):
     return rates, z, val
 
 
-def algebraic_eval(s: StateVector, b: BareParams) -> AlgebraicVars:
-    """Evaluate the stator algebraic block at one state.
-
-    The currents are the standard two-axis ones: i_d = (e''_q - v_q)/x''_d and
-    i_q = (v_d - e''_d)/x''_q.
-    """
-    if b.x_d2 == 0 or b.x_q2 == 0:
-        raise ZeroDivisionError("subtransient reactances must be nonzero")
-    if b.x_d2 < 0 or b.x_q2 < 0:
-        raise DomainError("subtransient reactances must be positive")
-    coef = _coefficients({key: np.full((1, 1), val) for key, val in vars(b).items()},
-                         LimitFlags())
-    z, val = _evaluate(coef, s.to_array()[1:].reshape(-1, 1, 1), np.full((1, 1), s.delta),
-                       swing=True)
-    v_d, v_q = (float(v) for v in z[-3:-1, 0, 0])
-    i_d, i_q = (float(i) for i in val[:2, 0, 0])
-    return AlgebraicVars(v_d, v_q, i_d, i_q, v_d * i_d + v_q * i_q)
-
-
 # the power-angle Newton stops once every |P_g - P_m| is below this, and gives
 # up after this many iterations
 _ANGLE_TOL = 1e-12
@@ -478,17 +389,16 @@ def solve_power_angle(st: dict, b, flags: LimitFlags, guess=None) -> np.ndarray:
     the angle (:func:`_integrated_states`) to (n, T) arrays, n the parameter
     sets of ``b``; the angles come back as one such array.
     """
-    c = DEFAULT_CONSTANTS
     rest = np.stack([st[nm] for nm in _integrated_states(flags)[1:]])
     coef = b["coef"][..., :_DRIFT]  # the currents and the slope pair
     shape = rest.shape[1:]
     bracket = np.empty((2,) + shape)
-    bracket[0] = c.vartheta + 1e-12
-    bracket[1] = c.vartheta + math.pi / 2 - 1e-12
+    bracket[0] = VARTHETA + 1e-12
+    bracket[1] = VARTHETA + math.pi / 2 - 1e-12
 
     def residual(delta):  # P_g - P_m and its slope in delta
         z, val = _evaluate(coef, rest, delta)
-        return _power(z, val, 0) - c.P_m, _power(z, val, _SLOPE)
+        return _power(z, val, 0) - P_M, _power(z, val, _SLOPE)
 
     r_lo, r_hi = residual(bracket[0])[0], residual(bracket[1])[0]
     if (r_lo * r_hi > 0).any():
@@ -538,7 +448,7 @@ def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlag
                                  guess=y[0] if arr[0] > 0 else None)
     rates, z, val = _rhs_kernel(y, b, flags)
     d = rates[1:, 0, 0] if flags.h_zero else rates[:, 0, 0]
-    return d, {"power_balance": float(DEFAULT_CONSTANTS.P_m - _power(z, val, 0)[0, 0])}
+    return d, {"power_balance": float(P_M - _power(z, val, 0)[0, 0])}
 
 
 @dataclass(frozen=True)
@@ -637,7 +547,7 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     def evaluator(t):
         x = columns(sol.sol(t).reshape(-1, n, len(t)))
         if flags.h_zero:
-            x["omega"] = ics.omega + (x["omega"] - ddelta0) / DEFAULT_CONSTANTS.omega_b
+            x["omega"] = ics.omega + (x["omega"] - ddelta0) / OMEGA_B
         return np.stack([x[nm] for nm in STATE_NAMES], axis=-1)
 
     return Trajectory(sol.t.copy(), (t_start, t_end), n, evaluator)

@@ -38,7 +38,6 @@ from .generator import (
 )
 
 __all__ = [
-    "GeodesicState",
     "GeodesicTrace",
     "BoundaryDiagnosis",
     "contraction_for_map",
@@ -64,9 +63,12 @@ _PLATEAU_GROWTH = 0.02
 #: model evaluations allowed per geodesic chunk before it counts as stalled
 _CHUNK_EVAL_BUDGET = 300
 
-# defaults of trace_geodesic: the boundary thresholds and the integration tolerance
-DEFAULT_VEL_RATIO = 1e3
-DEFAULT_LOG_BOUND = 25.0
+# boundary thresholds of trace_geodesic: the rescaled speed (start speed 1) and
+# the largest |log-parameter|; the second keeps exp() of a log-parameter finite
+VEL_RATIO = 1e3
+LOG_BOUND = 25.0
+
+#: default RK45 tolerance of trace_geodesic
 DEFAULT_GEODESIC_RTOL = 1e-6
 
 _EPS = np.finfo(float).eps
@@ -74,12 +76,6 @@ _EPS = np.finfo(float).eps
 
 class _ChunkStalled(Exception):
     """Internal: a geodesic chunk exhausted its evaluation budget."""
-
-
-@dataclass(frozen=True)
-class GeodesicState:
-    theta: np.ndarray  # log-parameters
-    velocity: np.ndarray  # d(theta)/d(tau)
 
 
 @dataclass(frozen=True)
@@ -166,19 +162,21 @@ def sloppiest_direction(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np
     return u / math.sqrt(lam_min)
 
 
-def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], start: GeodesicState, *,
-                   tau_max: float, vel_ratio: float = DEFAULT_VEL_RATIO,
-                   log_bound: float = DEFAULT_LOG_BOUND, rtol: float = DEFAULT_GEODESIC_RTOL,
+def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
+                   velocity: np.ndarray, *, tau_max: float,
+                   rtol: float = DEFAULT_GEODESIC_RTOL,
                    param_names: Sequence[str] | None = None) -> GeodesicTrace:
-    """Integrate the geodesic equation until a boundary indicator fires.
+    """Integrate the geodesic equation from log-parameters ``theta`` with
+    d(theta)/d(tau) = ``velocity`` until a boundary indicator fires.
 
     Three signals count as reaching a boundary: a log-parameter exceeding
-    ``log_bound``, the velocity norm growing past ``vel_ratio`` times its
-    initial value, or the velocity saturating against the metric floor (risen
-    by at least ``_PLATEAU_RATIO`` and then flat to within ``_PLATEAU_GROWTH``
-    over a whole chunk).  The last matters for singular limits: past the
-    floor the underlying model grows ever stiffer and chasing the nominal
-    thresholds would cost unbounded work for no extra information.
+    :data:`LOG_BOUND` in magnitude, the velocity norm growing past
+    :data:`VEL_RATIO` times its initial value, or the velocity saturating
+    against the metric floor (risen by at least ``_PLATEAU_RATIO`` and then
+    flat to within ``_PLATEAU_GROWTH`` over a whole chunk).  The last matters
+    for singular limits: past the floor the underlying model grows ever
+    stiffer and chasing the nominal thresholds would cost unbounded work for
+    no extra information.
 
     Integration proceeds in chunks whose arc length is capped so that no
     chunk travels more than about one log-unit, keeping the post-saturation
@@ -186,10 +184,11 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], start: GeodesicState, 
     evaluation budget has stalled: at a boundary if the speed it reached had
     risen by ``_PLATEAU_RATIO``, else a ``failure``.  Running out the
     ``tau_max`` arc budget is not a boundary; model breakdown yields a partial
-    trace marked ``failure``.
+    trace marked ``failure``.  ``rtol`` is the RK45 tolerance, and
+    ``param_names`` (default ``p0, p1, ...``) label the trace's columns.
     """
-    theta0 = np.asarray(start.theta, dtype=float)
-    v0 = np.asarray(start.velocity, dtype=float)
+    theta0 = np.asarray(theta, dtype=float)
+    v0 = np.asarray(velocity, dtype=float)
     n = theta0.size
     names = tuple(param_names) if param_names is not None else tuple(f"p{i}" for i in range(n))
     v0n = np.linalg.norm(v0)
@@ -214,8 +213,8 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], start: GeodesicState, 
         return np.concatenate([w, -contraction_for_map(f, theta, w)])
 
     # threshold indicators; a boundary is where one changes sign
-    indicators = (lambda y: np.linalg.norm(y[n:]) - vel_ratio,
-                  lambda y: np.max(np.abs(y[:n])) - log_bound)
+    indicators = (lambda y: np.linalg.norm(y[n:]) - VEL_RATIO,
+                  lambda y: np.max(np.abs(y[:n])) - LOG_BOUND)
 
     ss = [0.0]
     ys = [np.concatenate([theta0, v0 * T])]
@@ -321,14 +320,15 @@ def diagnose_boundary(trace: GeodesicTrace) -> BoundaryDiagnosis:
 
 
 def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_GRID, *,
-              vel_ratio: float = DEFAULT_VEL_RATIO, log_bound: float = DEFAULT_LOG_BOUND,
               rtol: float = DEFAULT_GEODESIC_RTOL,
               ) -> tuple[BoundaryDiagnosis, LimitFlags, GeodesicTrace]:
     """One reduction step: sloppiest geodesic of the flagged model at nominal, diagnosed.
 
-    The geodesic launches from the spectrum of :func:`~genident.fim.sensitivities`.
-    Returns the boundary diagnosis, the flag set with the diagnosed limit
-    applied, and the trace.  A diagnosis that no limit flag can apply (a
+    The geodesic launches from the spectrum of :func:`~genident.fim.sensitivities`
+    and is traced with RK45 tolerance ``rtol`` over an arc budget of ten times
+    the square root of the smallest eigenvalue, turning round once if the
+    first orientation runs that budget out.  Returns the boundary diagnosis,
+    the flag set with the diagnosed limit applied, and the trace.  A diagnosis that no limit flag can apply (a
     parameter going to infinity, a parameter with no limit, or a flag set
     that fails validation) raises :class:`ChainDivergenceError`.
     """
@@ -344,8 +344,7 @@ def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_
     tau_max = 10.0 * math.sqrt(lam_min)
     v0 = sloppiest_direction(spec.eigenvalues, spec.eigenvectors)
     for v in (v0, -v0):  # on max_tau the sign convention was unhelpful: turn round
-        trace = trace_geodesic(f, GeodesicState(theta0, v), tau_max=tau_max,
-                               vel_ratio=vel_ratio, log_bound=log_bound, rtol=rtol,
+        trace = trace_geodesic(f, theta0, v, tau_max=tau_max, rtol=rtol,
                                param_names=active)
         if trace.terminated != "max_tau":
             break
@@ -364,24 +363,23 @@ def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_
                                    f"applied to {flags}: {exc}", diagnosis=diag) from None
 
 
-def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, vel_ratio: float = DEFAULT_VEL_RATIO,
-               log_bound: float = DEFAULT_LOG_BOUND, rtol: float = DEFAULT_GEODESIC_RTOL,
-               collect_traces: bool = False) -> list[dict]:
+def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *,
+               rtol: float = DEFAULT_GEODESIC_RTOL) -> list[dict]:
     """Run reduction steps from the full model while limits remain; returns stage reports.
 
-    ``vel_ratio``, ``log_bound`` and ``rtol`` go to every :func:`mbam_step`.
-    Each stage applies the limit it diagnoses, so the order of the stages is
-    what the geodesics find, not a fixed chain.
+    ``rtol`` goes to every :func:`mbam_step`.  Each stage applies the limit it
+    diagnoses, so the order of the stages is what the geodesics find, not a
+    fixed chain.
 
     Each finished stage reports ``from_params`` -> ``to_params``, the
-    diagnosed limit, and its wall-clock (plus its ``trace`` with
-    ``collect_traces``).  A stage that raises :class:`ChainDivergenceError`
-    or :class:`SolverError` ends the chain with a divergence record in place
-    of a reduction: it has ``from_params`` and the error message under
-    ``divergence``, but no ``to_params``.  Its ``limit_param``,
-    ``direction``, ``tau_boundary`` and ``velocity_alignment`` are the
-    diagnosis that could not be applied (the first two are None when no
-    boundary was diagnosed).  The finished stages before it are kept.
+    diagnosed limit, its wall-clock and its geodesic ``trace``.  A stage that
+    raises :class:`ChainDivergenceError` or :class:`SolverError` ends the
+    chain with a divergence record in place of a reduction: it has
+    ``from_params`` and the error message under ``divergence``, but no
+    ``to_params`` and no ``trace``.  Its ``limit_param``, ``direction``,
+    ``tau_boundary`` and ``velocity_alignment`` are the diagnosis that could
+    not be applied (the first two are None when no boundary was diagnosed).
+    The finished stages before it are kept.
     """
     flags = LimitFlags()
     out = []
@@ -390,8 +388,7 @@ def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, vel_ratio: float = DEFAU
         t0 = time.monotonic()
         entry = {"from_params": n_before}
         try:
-            diag, next_flags, trace = mbam_step(flags, grid, vel_ratio=vel_ratio,
-                                                log_bound=log_bound, rtol=rtol)
+            diag, next_flags, trace = mbam_step(flags, grid, rtol=rtol)
             entry["to_params"] = n_before - 1
         except (ChainDivergenceError, SolverError) as exc:
             diag = getattr(exc, "diagnosis", None)
@@ -404,7 +401,7 @@ def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *, vel_ratio: float = DEFAU
                          tau_boundary=diag.tau_boundary,
                          velocity_alignment=diag.velocity_alignment)
         entry["wall_clock_s"] = round(time.monotonic() - t0, 3)
-        if collect_traces and trace is not None:
+        if trace is not None:
             entry["trace"] = trace
         out.append(entry)
         if next_flags is None:

@@ -47,10 +47,6 @@ class GHModel:
     def n_retained(self) -> int:
         return len(self.eigenvalues)
 
-    def projected_targets(self) -> np.ndarray:
-        """The delta-truncated projection of the training targets."""
-        return self.eigenvectors @ self.coefficients
-
 
 @dataclass(frozen=True)
 class JacobianReport:

@@ -43,8 +43,7 @@ from .generator import (
     ObservationGrid,
     integrate,
 )
-from .geodesics import (DEFAULT_GEODESIC_RTOL, DEFAULT_LOG_BOUND, DEFAULT_VEL_RATIO,
-                        mbam_chain, mbam_step)
+from .geodesics import DEFAULT_GEODESIC_RTOL, mbam_chain, mbam_step
 from .harmonics import (DEFAULT_DELTA, DEFAULT_RETAIN, GHModel, JacobianReport, gh_fit,
                         gh_predict, jacobian_report)
 
@@ -58,7 +57,6 @@ class Config:
     """Every tunable of the pipeline; mirrors the config-file keys one to one."""
 
     n_samples: int = 2000
-    paper_scale_samples: int = 10000
     perturbation: float = 0.10
     seed: int = 0
     workers: int = 1
@@ -68,8 +66,6 @@ class Config:
     rtol: float = 1e-7
     fim_cutoff: float = DEFAULT_CUTOFF
     projection_threshold: float = DEFAULT_PROJECTION_THRESHOLD
-    geo_vel_ratio: float = DEFAULT_VEL_RATIO
-    geo_log_bound: float = DEFAULT_LOG_BOUND
     geo_rtol: float = DEFAULT_GEODESIC_RTOL
     dmaps_epsilon_mult: float = 3.0
     dmaps_k: int = 41
@@ -87,8 +83,17 @@ class Config:
         return ObservationGrid(self.t_start, self.t_end, self.dt)
 
 
+# the values a config file may give a field of each declared type: a bool is
+# an int to Python, so it is told apart first
+_ACCEPTS = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
 def load_config(path: str | None, **overrides) -> Config:
-    """Config from a key = value file (JSON-style values), plus overrides."""
+    """Config from a key = value file (JSON-style values), plus overrides.
+
+    A file value must match its field's type: an int field takes an int, a
+    float field an int or a float, ``svg`` only true or false.
+    """
     values: dict = {}
     if path:
         known = {f.name: f.type for f in fields(Config)}
@@ -103,9 +108,15 @@ def load_config(path: str | None, **overrides) -> Config:
                 if key not in known:
                     raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
-                    values[key] = json.loads(raw)
+                    value = json.loads(raw)
                 except json.JSONDecodeError:
-                    values[key] = raw
+                    value = raw
+                kind = known[key]
+                if (isinstance(value, bool) != (kind == "bool")
+                        or not isinstance(value, _ACCEPTS[kind])):
+                    raise DomainError(f"{path}:{lineno}: config key {key!r} takes {kind}, "
+                                      f"got {raw}")
+                values[key] = value
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return Config(**values)
@@ -283,8 +294,7 @@ def _write_trace(path: str, trace) -> None:
 def stage_geodesic(cfg: Config, out_dir: str):
     """Sloppiest-direction geodesic of the full model plus its diagnosis."""
     st = Stage(out_dir, "geodesic", cfg)
-    diag, _, trace = mbam_step(LimitFlags(), cfg.grid(), vel_ratio=cfg.geo_vel_ratio,
-                               log_bound=cfg.geo_log_bound, rtol=cfg.geo_rtol)
+    diag, _, trace = mbam_step(LimitFlags(), cfg.grid(), rtol=cfg.geo_rtol)
     _write_trace(st.path("geodesic_trace.csv"), trace)
     write_json(st.path("geodesic_diagnosis.json"), {
         "limit_param": diag.limit_param,
@@ -306,8 +316,7 @@ def stage_geodesic(cfg: Config, out_dir: str):
 def stage_mbam(cfg: Config, out_dir: str):
     """The reduction ladder; a diverging stage is written, then raised."""
     st = Stage(out_dir, "mbam", cfg)
-    chain = mbam_chain(cfg.grid(), vel_ratio=cfg.geo_vel_ratio,
-                       log_bound=cfg.geo_log_bound, rtol=cfg.geo_rtol, collect_traces=True)
+    chain = mbam_chain(cfg.grid(), rtol=cfg.geo_rtol)
     for entry in chain:
         trace = entry.pop("trace", None)
         if trace is None:

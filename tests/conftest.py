@@ -75,7 +75,7 @@ def _build_ladder(conn):
     from genident.geodesics import mbam_chain
     try:
         t0 = time.monotonic()
-        chain = mbam_chain(collect_traces=True)
+        chain = mbam_chain()
         conn.send(("ok", (chain, time.monotonic() - t0)))
     except BaseException:
         conn.send(("error", traceback.format_exc()))

@@ -8,8 +8,8 @@ from genident.ensemble import (
     sample_ensemble,
 )
 from genident.errors import DomainError
-from genident.fim import fim, model_map, spectrum, central_difference_jacobian
-from genident.generator import IndependentParams
+from genident.fim import fim, spectrum, central_difference_jacobian
+from genident.generator import IndependentParams, integrate, observe
 
 NOM = IndependentParams.nominal().to_array()
 
@@ -50,7 +50,8 @@ class TestSampling:
 class TestRunEnsemble:
     def test_single_nominal_row_matches_model_map(self):
         run = run_ensemble(NOM[None, :])
-        np.testing.assert_array_equal(run.outputs[0], model_map(IndependentParams.nominal()))
+        np.testing.assert_array_equal(run.outputs[0],
+                                      observe(integrate(IndependentParams.nominal())))
         assert run.failures == ()
 
     def test_worker_count_does_not_change_results(self):

@@ -9,18 +9,15 @@ from scipy.optimize import brentq
 from genident import generator
 from genident.errors import DomainError
 from genident.generator import (
-    DEFAULT_CONSTANTS,
     LIMIT_CHAIN,
+    OMEGA_0,
+    OMEGA_B,
     PARAM_NAMES,
     STATE_NAMES,
-    BareParams,
     IndependentParams,
     LimitFlags,
     ObservationGrid,
     StateVector,
-    algebraic_eval,
-    bare_to_independent,
-    independent_to_bare,
     integrate,
     observe,
     rhs,
@@ -33,18 +30,23 @@ TABLE_BARE = dict(x_d=5.0, x_q=4.88, x_q1=2.86, x_d1=0.928, x_q2=0.48, x_d2=0.48
                   T_d01=4.75, T_d02=0.06, T_q01=1.5, T_q02=0.21, H=2.53, D=0.5)
 
 
+def _bare(p):
+    """Bare parameters of an :class:`IndependentParams` as scalars."""
+    return generator._bare(*p.to_array())
+
+
 class TestParamMaps:
     def test_nominal_matches_published_bare_values(self):
-        b = independent_to_bare(NOM)
+        b = _bare(NOM)
         for name, want in TABLE_BARE.items():
-            assert getattr(b, name) == pytest.approx(want, abs=1e-12)
+            assert b[name] == pytest.approx(want, abs=1e-12)
 
     def test_collapsed_chain(self):
         p = IndependentParams(H=2.53, D=0.5, dx1=0, dx2=0, dx3=0, dx4=0,
                               xdpp=0.48, dTd=0, dTq=1.29, Tdpp=0.06, Tqpp=0.21)
-        b = independent_to_bare(p)
-        assert b.x_d == b.x_q == b.x_q1 == b.x_d1 == b.x_q2 == b.x_d2 == 0.48
-        assert b.T_d01 == b.T_d02 == 0.06
+        b = _bare(p)
+        assert b["x_d"] == b["x_q"] == b["x_q1"] == b["x_d1"] == b["x_q2"] == b["x_d2"] == 0.48
+        assert b["T_d01"] == b["T_d02"] == 0.06
 
     def test_negative_field_rejected(self):
         with pytest.raises(DomainError):
@@ -53,54 +55,10 @@ class TestParamMaps:
     def test_ordering_chain_holds_for_random_nonnegative_inputs(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            p = IndependentParams.from_array(rng.uniform(0, 10, 11))
-            assert independent_to_bare(p).ordering_satisfied()
-
-    def test_round_trip_recovers_independent_params(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            arr = rng.uniform(0, 5, 11)
-            p = IndependentParams.from_array(arr)
-            back = bare_to_independent(independent_to_bare(p))
-            np.testing.assert_allclose(back.to_array(), arr, rtol=0, atol=1e-12)
-
-
-class TestAlgebraicBlock:
-    def test_zero_angle_gives_pure_q_voltage(self):
-        s = StateVector(delta=DEFAULT_CONSTANTS.vartheta)
-        out = algebraic_eval(s, independent_to_bare(NOM))
-        assert out.v_d == pytest.approx(0.0, abs=1e-15)
-        assert out.v_q == pytest.approx(DEFAULT_CONSTANTS.V)
-
-    def test_against_direct_formula_substitution(self):
-        # independent oracle: the printed formulas transcribed inline
-        s = StateVector()  # initial data of the benchmark
-        b = independent_to_bare(NOM)
-        v_d = 1.09 * math.sin(0.5)
-        v_q = 1.09 * math.cos(0.5)
-        i_d = (1.93 - v_q) / 0.48
-        out = algebraic_eval(s, b)
-        assert out.v_d == pytest.approx(v_d, rel=1e-14)
-        assert out.v_q == pytest.approx(v_q, rel=1e-14)
-        assert out.i_d == pytest.approx(i_d, rel=1e-14)
-        # standard form: i_q from the d-axis subtransient EMF
-        i_q_std = (v_d - 0.02) / 0.48
-        assert out.i_q == pytest.approx(i_q_std, rel=1e-14)
-        assert out.P_g == pytest.approx(v_d * i_d + v_q * i_q_std, rel=1e-14)
-
-    def test_power_identity_exact(self):
-        rng = np.random.default_rng(3)
-        b = independent_to_bare(NOM)
-        for _ in range(25):
-            s = StateVector.from_array(rng.uniform(-1, 2, 6))
-            out = algebraic_eval(s, b)
-            assert out.P_g == out.v_d * out.i_d + out.v_q * out.i_q
-
-    def test_zero_reactance_is_division_error(self):
-        b = independent_to_bare(NOM)
-        bad = BareParams(**{**b.__dict__, "x_d2": 0.0})
-        with pytest.raises(ZeroDivisionError):
-            algebraic_eval(StateVector(), bad)
+            b = _bare(IndependentParams.from_array(rng.uniform(0, 10, 11)))
+            chain = [b[nm] for nm in ("x_d", "x_q", "x_q1", "x_d1", "x_q2", "x_d2")] + [0.0]
+            assert all(hi >= lo for hi, lo in zip(chain, chain[1:]))
+            assert b["T_d01"] >= b["T_d02"] >= 0 and b["T_q01"] >= b["T_q02"] >= 0
 
 
 def _transcribed_rhs(state, p):
@@ -174,7 +132,7 @@ def _random_state(rng, p, flags, balanced=True):
 
 class TestRhs:
     def test_reference_speed_freezes_angle(self):
-        s = StateVector(omega=DEFAULT_CONSTANTS.omega_0)
+        s = StateVector(omega=OMEGA_0)
         d, _ = rhs(s, NOM)
         assert d[0] == 0.0
 
@@ -183,8 +141,8 @@ class TestRhs:
         d, res = rhs(StateVector(), NOM)
         want = _transcribed_rhs(state, NOM.to_array())
         np.testing.assert_allclose(d, want, rtol=1e-12)
-        assert res["power_balance"] == pytest.approx(0.7 - algebraic_eval(
-            StateVector(), independent_to_bare(NOM)).P_g)
+        assert res["power_balance"] == pytest.approx(
+            0.7 - _transcribed_power(*state[[0, 2, 3, 4, 5]], NOM.to_array(), LimitFlags()))
 
     def test_random_states_match_transcription(self):
         rng = np.random.default_rng(11)
@@ -265,14 +223,14 @@ class TestEveryFlagSet:
             np.testing.assert_allclose(d, [want[STATE_NAMES.index(nm)] for nm in names],
                                        rtol=1e-12, atol=1e-12)
         # slaved EMFs follow the stator's closed forms at every output time
-        b = independent_to_bare(NOM)
+        b = _bare(NOM)
         s = traj.at(np.linspace(0.0, 5.0, 11))[0]
         delta, eq1, ed1 = s[:, 0], s[:, 2], s[:, 3]
         if flags.tdpp_zero:
-            eq2 = (b.x_d2 * eq1 + (b.x_d1 - b.x_d2) * 1.09 * np.cos(delta)) / b.x_d1
+            eq2 = (b["x_d2"] * eq1 + (b["x_d1"] - b["x_d2"]) * 1.09 * np.cos(delta)) / b["x_d1"]
             np.testing.assert_allclose(s[:, 4], eq2, rtol=1e-12)
         if flags.tqpp_zero:
-            ed2 = (b.x_q2 * ed1 + (b.x_q1 - b.x_q2) * 1.09 * np.sin(delta)) / b.x_q1
+            ed2 = (b["x_q2"] * ed1 + (b["x_q1"] - b["x_q2"]) * 1.09 * np.sin(delta)) / b["x_q1"]
             np.testing.assert_allclose(s[:, 5], ed2, rtol=1e-12)
 
     @pytest.mark.parametrize("flags", [f for f in VALID_FLAGS if f.h_zero], ids=_flags_id)
@@ -375,10 +333,9 @@ class TestReducedModel:
         traj = integrate(NOM, LimitFlags.first(2))
         t = np.linspace(0.5, 5.0, 7)
         states = traj.at(t)[0]
-        b = independent_to_bare(NOM)
         for row in states:
-            out = algebraic_eval(StateVector.from_array(row), b)
-            assert out.P_g == pytest.approx(0.7, abs=1e-9)
+            # P_m - P_g at the output state, its angle taken as given (no limits)
+            assert rhs(row, NOM)[1]["power_balance"] == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("flags", [LimitFlags.first(2), LimitFlags.all()],
                              ids=["first2", "all"])
@@ -390,7 +347,7 @@ class TestReducedModel:
         omega = traj.at(t)[0, :, 1]
         rate = (traj.at(t + h)[0, :, 0] - traj.at(t - h)[0, :, 0]) / (2 * h)
         np.testing.assert_allclose(omega - omega[0],
-                                   (rate - rate[0]) / DEFAULT_CONSTANTS.omega_b,
+                                   (rate - rate[0]) / OMEGA_B,
                                    rtol=0, atol=1e-7)
 
     @pytest.mark.parametrize("flags", [LimitFlags.first(2), LimitFlags.all()],

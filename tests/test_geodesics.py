@@ -8,7 +8,6 @@ from genident.fim import central_difference_jacobian, fim, spectrum, generator_m
 from genident.generator import IndependentParams, LimitFlags
 from genident.geodesics import (
     BoundaryDiagnosis,
-    GeodesicState,
     GeodesicTrace,
     contraction_for_map,
     diagnose_boundary,
@@ -99,8 +98,7 @@ class TestChristoffel:
 class TestTraceGeodesic:
     def test_zero_velocity_is_constant_to_max_tau(self):
         f = exp_sum_map([0.5, 1.0])
-        tr = trace_geodesic(f, GeodesicState(np.log([1.0, 2.0]), np.zeros(2)),
-                            tau_max=1.0)
+        tr = trace_geodesic(f, np.log([1.0, 2.0]), np.zeros(2), tau_max=1.0)
         assert tr.terminated == "max_tau"
         np.testing.assert_array_equal(tr.thetas[-1], np.log([1.0, 2.0]))
 
@@ -118,8 +116,7 @@ class TestTraceGeodesic:
         # raising theta_2 at theta_2 -> infinity, the other at the
         # rate-coalescence edge theta_1 = theta_2
         up = v0 if v0[1] > 0 else -v0
-        tr = trace_geodesic(f, GeodesicState(x0, up), tau_max=tau_max,
-                            param_names=("th1", "th2"))
+        tr = trace_geodesic(f, x0, up, tau_max=tau_max, param_names=("th1", "th2"))
         assert tr.terminated == "boundary"
         diag = diagnose_boundary(tr)
         assert diag.limit_param == "th2"
@@ -128,8 +125,7 @@ class TestTraceGeodesic:
         lim = np.exp(-1.0 * ts)
         far = f(np.array([[0.0, 8.0]]))[0]
         assert np.abs(far - lim).max() < 1e-3
-        other = trace_geodesic(f, GeodesicState(x0, -up), tau_max=tau_max,
-                               param_names=("th1", "th2"))
+        other = trace_geodesic(f, x0, -up, tau_max=tau_max, param_names=("th1", "th2"))
         assert other.terminated == "boundary"
         th1, th2 = np.exp(other.thetas[-1])
         assert abs(th1 / th2 - 1.0) < 0.1
@@ -175,9 +171,9 @@ class TestSpeedConservation:
         sp = spectrum(fim(J), ("th1", "th2"))
         v0 = sloppiest_direction(sp.eigenvalues, sp.eigenvectors)
         tau_max = 10 * math.sqrt(sp.eigenvalues[-1])
-        tr = trace_geodesic(f, GeodesicState(x0, v0), tau_max=tau_max)
+        tr = trace_geodesic(f, x0, v0, tau_max=tau_max)
         if tr.terminated == "max_tau":
-            tr = trace_geodesic(f, GeodesicState(x0, -v0), tau_max=tau_max)
+            tr = trace_geodesic(f, x0, -v0, tau_max=tau_max)
         diag = diagnose_boundary(tr)
         speeds = []
         for i in range(len(tr.taus)):
@@ -198,9 +194,9 @@ class TestMbamStep:
     def diagnosed(self, monkeypatch):
         from genident import geodesics
 
-        def trace(f, start, *, param_names, **options):
-            return GeodesicTrace(np.array([0.0, 1.0]), np.tile(start.theta, (2, 1)),
-                                 np.tile(start.velocity, (2, 1)), "boundary", param_names)
+        def trace(f, theta, velocity, *, param_names, **options):
+            return GeodesicTrace(np.array([0.0, 1.0]), np.tile(theta, (2, 1)),
+                                 np.tile(velocity, (2, 1)), "boundary", param_names)
 
         def use(diag):
             monkeypatch.setattr(geodesics, "trace_geodesic", trace)
@@ -242,7 +238,7 @@ class TestMbamChain:
                                        diagnosis=BoundaryDiagnosis("dx1", "to_zero", 9e-3, 1.0))
 
         monkeypatch.setattr(geodesics, "mbam_step", step)
-        chain = mbam_chain(collect_traces=True)
+        chain = mbam_chain()
         assert [(e["limit_param"], e["direction"]) for e in chain] == [
             ("D", "to_zero"), ("dx1", "to_zero")]
         assert chain[0]["to_params"] == 10 and chain[0]["trace"] is trace
