@@ -29,7 +29,7 @@ emb = embed_outputs(run.outputs, cfg)
 print(f"kernel scale epsilon = {emb.epsilon:.1f} "
       f"({cfg.dmaps_epsilon_mult} x median squared pairwise distance)")
 
-rep, sel = select_coordinates(emb, cfg)
+rep, sel = select_coordinates(emb.eigenvectors, cfg)
 
 print("\nresiduals r_k (large = genuinely new coordinate):")
 for k, r in zip(rep.indices, rep.residuals):

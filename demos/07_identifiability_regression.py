@@ -20,7 +20,7 @@ run = run_ensemble(params, workers=cfg.workers)
 params = params[run.row_indices]
 
 emb = embed_outputs(run.outputs, cfg)
-_, sel = select_coordinates(emb, cfg)
+_, sel = select_coordinates(emb.eigenvectors, cfg)
 print(f"non-harmonic coordinates: {sel.indices}")
 
 track = fit_gh_track(params, emb.eigenvectors[:, list(sel.indices)], sel.indices, cfg)

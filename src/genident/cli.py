@@ -74,7 +74,7 @@ def _config_from_args(args) -> Config:
     return cfg
 
 
-def _cmd_gh_eval(args, cfg: Config) -> int:
+def _cmd_gh_eval(args) -> int:
     model = gh_model_from_json(read_json(args.model))
     _, rows = read_csv(args.inputs)
     from .harmonics import distance_to_training, gh_predict
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         if args.command == "gh-eval":
-            return _cmd_gh_eval(args, cfg)
+            return _cmd_gh_eval(args)
         result = run_stage(args.command, cfg, args.out)
         if args.command == "compare":
             print(f"fim dim {result.fim_effective_dim} vs dmaps dim "

@@ -19,7 +19,6 @@ import scipy.sparse.linalg
 from .errors import DomainError, SolverError
 
 __all__ = [
-    "Dataset",
     "DMapsEmbedding",
     "ResidualReport",
     "NonharmonicSelection",
@@ -48,16 +47,6 @@ _AMBIGUITY_RATIO = 1.5
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """Row-wise data rescaled columnwise to [0, 1], with the scaling retained."""
-
-    rows: np.ndarray  # (N, m), each column in [0, 1]
-    col_min: np.ndarray
-    col_max: np.ndarray
-    constant_columns: np.ndarray  # bool mask of columns that had zero range
-
-
-@dataclass(frozen=True)
 class DMapsEmbedding:
     eigenvalues: np.ndarray  # descending, lambda_0 = 1 first
     eigenvectors: np.ndarray  # (N, k), unit norm, sign-fixed
@@ -80,8 +69,8 @@ class NonharmonicSelection:
     alternate: tuple[int, ...] = ()
 
 
-def rescale01(raw: np.ndarray) -> Dataset:
-    """Columnwise min-max rescaling onto [0, 1]; constant columns map to 0.5."""
+def rescale01(raw: np.ndarray) -> np.ndarray:
+    """Columnwise min-max rescaling onto [0, 1], as a new array; constant columns map to 0.5."""
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] < 2:
         raise DomainError("need a 2-D matrix with at least two rows")
@@ -96,7 +85,7 @@ def rescale01(raw: np.ndarray) -> Dataset:
     safe = np.where(const, 1.0, span)
     rows = (raw - lo) / safe
     rows[:, const] = 0.5
-    return Dataset(rows, lo, hi, const)
+    return rows
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
@@ -121,15 +110,15 @@ def _median_offdiag_sq(x: np.ndarray, seed: int = 0) -> float:
     return float(np.median(d2[iu]))
 
 
-def median_epsilon(data: Dataset | np.ndarray, multiplier: float = 1.0) -> float:
-    """Kernel scale as a multiple of the median squared pairwise distance.
+def median_epsilon(rows: np.ndarray, multiplier: float = 1.0) -> float:
+    """Kernel scale as a multiple of the median squared pairwise distance of ``rows``.
 
     The squared-distance convention matches the kernel exponent
     exp(-d^2 / 2 eps); the multiplier absorbs any other convention.  Two or
     more coincident points can drive the median to zero, which is reported as
     a degeneracy warning.
     """
-    rows = data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    rows = np.asarray(rows, dtype=float)
     if rows.shape[0] < 2:
         raise DomainError("need at least two rows")
     med = _median_offdiag_sq(rows)
@@ -155,17 +144,18 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def dmaps(data: Dataset | np.ndarray, epsilon: float, k: int = 26) -> DMapsEmbedding:
-    """Density-normalized diffusion-maps eigen-embedding.
+def dmaps(rows: np.ndarray, epsilon: float, k: int = 26) -> DMapsEmbedding:
+    """Density-normalized diffusion-maps eigen-embedding of the (N, m) ``rows``.
 
     Builds the Gaussian affinity exp(-d^2/2 eps), removes the sampling-density
     factor by dividing by the outer product of row sums, row-normalizes to a
     stochastic operator, and extracts its top-k eigenpairs through the
     conjugate symmetric matrix so the result is guaranteed real.  A kernel
     graph that falls apart into components (an isolated point, or a second
-    eigenvalue equal to 1) raises ``SolverError``.
+    eigenvalue equal to 1) raises ``SolverError``.  Column k of the result's
+    ``eigenvectors`` holds phi_k, phi_0 the constant one.
     """
-    rows = data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    rows = np.asarray(rows, dtype=float)
     n = rows.shape[0]
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
@@ -220,14 +210,17 @@ def _weights(pred: np.ndarray, bandwidth_mult: float, iu: tuple) -> np.ndarray:
     return w
 
 
-def local_linear_residuals(emb: DMapsEmbedding,
+def local_linear_residuals(phi: np.ndarray,
                            bandwidth_mult: float = DEFAULT_RESIDUAL_BANDWIDTH_MULT,
                            max_k: int | None = None) -> ResidualReport:
-    """Leave-one-out local-linear prediction error of each eigenvector.
+    """Leave-one-out local-linear prediction error of each coordinate.
 
-    Eigenvector k is regressed on eigenvectors 1..k-1 with Gaussian weights
-    exp(-d^2 / sigma^2), where sigma is ``bandwidth_mult`` times the median
-    pairwise distance of the predictors (the default is the pipeline
+    Column k of ``phi`` holds phi_k, and column 0 is never read: a
+    :class:`DMapsEmbedding`'s ``eigenvectors`` and ``embedding.csv`` (sample
+    ids in column 0) serve as they are.  Coordinate k = 2..``max_k`` (all when
+    None) is regressed on coordinates 1..k-1 with Gaussian weights
+    exp(-d^2 / sigma^2), where sigma is ``bandwidth_mult`` (> 0) times the
+    median pairwise distance of the predictors (the default is the pipeline
     ``Config``'s); a residual near zero marks it as a harmonic of earlier
     coordinates, while a large residual marks a genuinely new direction.
     r_1 = 1 by convention.
@@ -237,10 +230,16 @@ def local_linear_residuals(emb: DMapsEmbedding,
     the predictor products x_j x_l (j <= l) side by side with x_j y, so the
     Gram stack never holds more than one chunk.
     """
-    phi = emb.eigenvectors
+    # C order, as embedding.csv reads back: the distance GEMM rounds differently
+    # on a LAPACK (Fortran-order) eigenvector matrix
+    phi = np.ascontiguousarray(phi, dtype=float)
     n, total = phi.shape
     if total < 2:
-        raise DomainError("need at least two eigenvectors")
+        raise DomainError("need at least two columns: one unread, then phi_1")
+    if max_k is not None and max_k < 1:
+        raise DomainError(f"max_k must be at least 1, got {max_k}")
+    if not bandwidth_mult > 0:
+        raise DomainError(f"bandwidth_mult must be positive, got {bandwidth_mult}")
     K = (total - 1) if max_k is None else min(max_k, total - 1)
     residuals = np.empty(K)
     residuals[0] = 1.0

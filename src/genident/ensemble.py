@@ -48,6 +48,8 @@ class EnsembleSpec:
             raise DomainError("need at least two ensemble members")
         if not 0.0 <= self.perturbation < 1.0:
             raise DomainError("perturbation half-width must lie in [0, 1)")
+        if self.seed < 0:
+            raise DomainError(f"ensemble seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -118,13 +118,6 @@ class IndependentParams:
         return np.array([getattr(self, n) for n in PARAM_NAMES], dtype=float)
 
     @classmethod
-    def from_array(cls, a: Sequence[float]) -> "IndependentParams":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (len(PARAM_NAMES),):
-            raise DomainError(f"expected {len(PARAM_NAMES)} parameters, got shape {a.shape}")
-        return cls(**{n: float(v) for n, v in zip(PARAM_NAMES, a)})
-
-    @classmethod
     def nominal(cls) -> "IndependentParams":
         return cls()
 
@@ -380,16 +373,15 @@ _ANGLE_TOL = 1e-12
 _ANGLE_MAX_ITER = 60
 
 
-def solve_power_angle(st: dict, b, flags: LimitFlags, guess=None) -> np.ndarray:
+def solve_power_angle(rest: np.ndarray, b, guess=None) -> np.ndarray:
     """Rotor angle(s) satisfying the power balance P_g(delta) = P_m.
 
     Safeguarded Newton, its slope from the coefficient rows in ``b``, with a
     bisection fallback on the operating branch delta in (vartheta,
-    vartheta + pi/2), from ``guess``.  ``st`` maps the integrated states after
-    the angle (:func:`_integrated_states`) to (n, T) arrays, n the parameter
-    sets of ``b``; the angles come back as one such array.
+    vartheta + pi/2), from ``guess``.  ``rest`` holds the integrated states
+    after the angle (:func:`_integrated_states`), (m, n, T) with n the
+    parameter sets of ``b``; the angles come back as one (n, T) array.
     """
-    rest = np.stack([st[nm] for nm in _integrated_states(flags)[1:]])
     coef = b["coef"][..., :_DRIFT]  # the currents and the slope pair
     shape = rest.shape[1:]
     bracket = np.empty((2,) + shape)
@@ -441,11 +433,9 @@ def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlag
     """
     b = _bare_arrays(p.to_array()[None, :], flags)
     arr = np.asarray(s.to_array() if isinstance(s, StateVector) else s, dtype=float)
-    names = _integrated_states(flags)
-    y = arr[[STATE_NAMES.index(nm) for nm in names]].reshape(-1, 1, 1)
+    y = arr[[STATE_NAMES.index(nm) for nm in _integrated_states(flags)]].reshape(-1, 1, 1)
     if flags.h_zero:
-        y[0] = solve_power_angle(dict(zip(names, y)), b, flags,
-                                 guess=y[0] if arr[0] > 0 else None)
+        y[0] = solve_power_angle(y[1:], b, guess=y[0] if arr[0] > 0 else None)
     rates, z, val = _rhs_kernel(y, b, flags)
     d = rates[1:, 0, 0] if flags.h_zero else rates[:, 0, 0]
     return d, {"power_balance": float(P_M - _power(z, val, 0)[0, 0])}
@@ -509,32 +499,32 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         return Trajectory(np.array([t_start]), (t_start, t_end), n,
                           lambda t: np.tile(x0, (n, len(t), 1)))
 
-    names = _integrated_states(flags)
+    integrated = [STATE_NAMES.index(nm) for nm in _integrated_states(flags)]
 
     def columns(y):
-        """All six states, (n, T) each, from the (k, n, T) integrated ones; slaved
+        """All six states, (6, n, T), from the (k, n, T) integrated ones; slaved
         EMFs from their coefficient rows.  In the inertia limit the angle is
         projected onto P_g = P_m (warm-started from the integrated one) and
         ``omega`` holds its rate."""
-        x = dict(zip(names, y))
         if flags.h_zero:
-            x["delta"] = solve_power_angle(x, b, flags, guess=y[0])
-            y = np.stack([x[nm] for nm in names])
+            y = np.concatenate([solve_power_angle(y[1:], b, guess=y[0])[None], y[1:]])
         rates, _, val = _rhs_kernel(y, b, flags)
+        x = np.empty((len(STATE_NAMES),) + y.shape[1:])
+        x[integrated] = y
         if flags.h_zero:
-            x["omega"] = rates[0]
+            x[1] = rates[0]
         if flags.tdpp_zero:
-            x["eq2"] = val[_EQ2]
+            x[4] = val[_EQ2]
         if flags.tqpp_zero:
-            x["ed2"] = val[_ED2]
+            x[5] = val[_ED2]
         return x
 
     # the solver's state is component first: each integrated state for all n sets
-    s0 = np.repeat(x0[[STATE_NAMES.index(nm) for nm in names], None], n, axis=1)
+    s0 = np.repeat(x0[integrated, None], n, axis=1)
     if flags.h_zero:
         # consistent start; rotor speed follows the angle's rate from its supplied value
         start = columns(s0[..., None])
-        s0[0], ddelta0 = start["delta"][:, 0], start["omega"]
+        s0[0], ddelta0 = start[0, :, 0], start[1]
 
     def f(t, y):
         return _rhs_kernel(y.reshape(-1, n, 1), b, flags)[0].ravel()
@@ -547,8 +537,8 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     def evaluator(t):
         x = columns(sol.sol(t).reshape(-1, n, len(t)))
         if flags.h_zero:
-            x["omega"] = ics.omega + (x["omega"] - ddelta0) / OMEGA_B
-        return np.stack([x[nm] for nm in STATE_NAMES], axis=-1)
+            x[1] = ics.omega + (x[1] - ddelta0) / OMEGA_B
+        return np.stack(x, axis=-1)
 
     return Trajectory(sol.t.copy(), (t_start, t_end), n, evaluator)
 

@@ -9,7 +9,7 @@ what the determinant checks rely on.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class GHModel:
     eigenvalues: np.ndarray  # retained sigma_alpha, descending
     eigenvectors: np.ndarray  # (N, r) orthonormal basis columns
     coefficients: np.ndarray  # (r, n_targets) projections <f, psi_alpha>
-    output_scaling: tuple[np.ndarray, np.ndarray] | None = field(default=None)
     target_names: tuple[str, ...] | None = None
     target_ndim: int = 2  # rank of the fitted target; gh_predict follows it
 
@@ -57,16 +56,16 @@ class JacobianReport:
 
 def gh_fit(inputs: np.ndarray, targets: np.ndarray, epsilon_star: float | None = None, *,
            retain: int = DEFAULT_RETAIN, delta: float = DEFAULT_DELTA,
-           epsilon_mult: float = 1.0, output_scaling=None,
-           target_names=None) -> GHModel:
+           epsilon_mult: float = 1.0, target_names=None) -> GHModel:
     """Project target columns onto the kernel eigenbasis of the inputs.
 
     ``retain`` caps the basis size; eigenvalues below ``delta`` times the
     leading one are dropped regardless (they make the Nystrom division
-    explode).  When ``epsilon_star`` is omitted it defaults to ``epsilon_mult``
-    times the median squared pairwise distance of the inputs.  A 1-D target is
-    fitted as one column; the model records its rank so that ``gh_predict``
-    returns 1-D values for it.
+    explode), and 0 <= ``delta`` < 1 keeps at least the leading one.  When
+    ``epsilon_star`` is omitted it defaults to ``epsilon_mult`` times the
+    median squared pairwise distance of the inputs.  A 1-D target is fitted as
+    one column; the model records its rank so that ``gh_predict`` returns 1-D
+    values for it.  The model predicts in the units of the targets given.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     F = np.asarray(targets, dtype=float)
@@ -78,6 +77,8 @@ def gh_fit(inputs: np.ndarray, targets: np.ndarray, epsilon_star: float | None =
         raise DomainError("inputs and targets must have matching row counts")
     if retain < 1:
         raise DomainError("retain must be >= 1")
+    if not 0 <= delta < 1:
+        raise DomainError(f"delta must lie in [0, 1), got {delta}")
     if n < 2:
         raise DomainError("need at least two training rows")
     if epsilon_star is None:
@@ -97,7 +98,6 @@ def gh_fit(inputs: np.ndarray, targets: np.ndarray, epsilon_star: float | None =
     vals, vecs = vals[keep], np.ascontiguousarray(vecs[:, keep])
     coeff = vecs.T @ F
     return GHModel(X.copy(), float(epsilon_star), vals, vecs, coeff,
-                   output_scaling=output_scaling,
                    target_names=tuple(target_names) if target_names else None,
                    target_ndim=target_ndim)
 

@@ -21,7 +21,6 @@ import scipy
 from . import __version__
 from .dmaps import (
     DEFAULT_RESIDUAL_BANDWIDTH_MULT,
-    Dataset,
     DMapsEmbedding,
     NonharmonicSelection,
     ResidualReport,
@@ -368,11 +367,9 @@ def stage_dmaps(cfg: Config, out_dir: str):
 
 def stage_residuals(cfg: Config, out_dir: str):
     st = Stage(out_dir, "residuals", cfg)
-    header, emb_data = read_csv(os.path.join(out_dir, "embedding.csv"))
-    _, eig = read_csv(os.path.join(out_dir, "dmaps_eigenvalues.csv"))
-    phi = np.column_stack([np.full(emb_data.shape[0], emb_data.shape[0] ** -0.5),
-                           emb_data[:, 1:]])
-    rep, sel = select_coordinates(DMapsEmbedding(eig[:, 1], phi, 0.0), cfg)
+    # column k of embedding.csv is phi_k; column 0, the sample id, is not read
+    _, phi = read_csv(os.path.join(out_dir, "embedding.csv"))
+    rep, sel = select_coordinates(phi, cfg)
     write_csv(st.path("residuals.csv"), ["eigenvector", "residual"],
               np.column_stack([np.asarray(rep.indices, dtype=float), rep.residuals]))
     write_json(st.path("residuals.json"), {
@@ -396,9 +393,14 @@ def stage_residuals(cfg: Config, out_dir: str):
 
 
 def _split(n: int, frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    """Sorted train and test rows of a seeded permutation, cut at round(frac n)."""
+    if seed < 0:
+        raise DomainError(f"split_seed must be non-negative, got {seed}")
     k = int(round(frac * n))
+    if not 2 <= k < n:
+        raise DomainError(f"train_frac = {frac} puts {k} of {n} rows in training; "
+                          f"need at least 2 there and 1 for testing")
+    perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:k]), np.sort(perm[k:])
 
 
@@ -411,8 +413,6 @@ def _gh_model_json(model, selected, train_idx, test_idx) -> dict:
         "coefficients": model.coefficients.tolist(),
         "target_names": list(model.target_names or ()),
         "target_ndim": model.target_ndim,
-        "output_scaling": None if model.output_scaling is None else
-            [model.output_scaling[0].tolist(), model.output_scaling[1].tolist()],
         "selected_coordinates": list(selected),
         "train_rows": train_idx.tolist(),
         "test_rows": test_idx.tolist(),
@@ -420,15 +420,13 @@ def _gh_model_json(model, selected, train_idx, test_idx) -> dict:
 
 
 def gh_model_from_json(obj) -> GHModel:
-    scaling = obj.get("output_scaling")
+    """The model of :func:`_gh_model_json`; keys it does not name are ignored."""
     return GHModel(
         np.asarray(obj["training_inputs"], dtype=float),
         float(obj["epsilon_star"]),
         np.asarray(obj["eigenvalues"], dtype=float),
         np.asarray(obj["eigenvectors"], dtype=float),
         np.asarray(obj["coefficients"], dtype=float),
-        output_scaling=None if scaling is None else
-            (np.asarray(scaling[0]), np.asarray(scaling[1])),
         target_names=tuple(obj.get("target_names") or ()) or None,
         target_ndim=int(obj.get("target_ndim", 2)),
     )
@@ -440,17 +438,19 @@ def embed_outputs(outputs: np.ndarray, cfg: Config) -> DMapsEmbedding:
     The kernel scale is ``cfg.dmaps_epsilon_mult`` times the median squared
     pairwise distance; it comes back as the embedding's ``epsilon``.
     """
-    ds = rescale01(outputs)
-    return dmaps(ds, median_epsilon(ds, cfg.dmaps_epsilon_mult), k=cfg.dmaps_k)
+    rows = rescale01(outputs)
+    return dmaps(rows, median_epsilon(rows, cfg.dmaps_epsilon_mult), k=cfg.dmaps_k)
 
 
-def select_coordinates(emb: DMapsEmbedding,
+def select_coordinates(phi: np.ndarray,
                        cfg: Config) -> tuple[ResidualReport, NonharmonicSelection]:
-    """Local-linear residuals of the embedding and the non-harmonic selection.
+    """Local-linear residuals of the coordinates and the non-harmonic selection.
 
-    ``cfg.target_dim`` = 0 leaves the count to the residual-gap rule.
+    Column k of ``phi`` holds phi_k and column 0 is not read, as in
+    :func:`local_linear_residuals`.  ``cfg.target_dim`` = 0 leaves the count
+    to the residual-gap rule.
     """
-    rep = local_linear_residuals(emb, cfg.residual_bandwidth_mult, max_k=cfg.residual_max_k)
+    rep = local_linear_residuals(phi, cfg.residual_bandwidth_mult, max_k=cfg.residual_max_k)
     return rep, select_nonharmonic(rep, cfg.target_dim or None)
 
 
@@ -460,8 +460,8 @@ class GHTrack:
 
     forward: GHModel  # coordinates -> all parameters
     inverse: GHModel  # all parameters -> coordinates
-    params01: Dataset
-    coords01: Dataset
+    params01: np.ndarray  # the parameters, rescaled to [0, 1]
+    coords01: np.ndarray  # the selected coordinates, rescaled to [0, 1]
     train: np.ndarray
     test: np.ndarray
     predictions: np.ndarray  # forward predictions on the test rows
@@ -472,38 +472,36 @@ class GHTrack:
 def fit_gh_track(params: np.ndarray, coords: np.ndarray, selected, cfg: Config) -> GHTrack:
     """Fit coordinates -> parameters and back on the configured split.
 
-    ``coords`` holds the diffusion coordinates listed in ``selected``.  Both
-    sides are rescaled to [0, 1] first; the test-set mean absolute errors come
-    back per parameter and per coordinate.
+    ``coords`` holds the diffusion coordinates listed in ``selected``, one row
+    per row of ``params``.  Both sides are rescaled to [0, 1] first, and both
+    models fit, predict and are scored in those units; the test-set mean
+    absolute errors come back per parameter and per coordinate.
     """
-    p_ds = rescale01(params)
-    c_ds = rescale01(coords)
+    p01 = rescale01(params)
+    c01 = rescale01(coords)
     train, test = _split(params.shape[0], cfg.train_frac, cfg.split_seed)
     coord_names = [f"phi_{k}" for k in selected]
-    fwd = gh_fit(c_ds.rows[train], p_ds.rows[train], retain=cfg.gh_retain,
-                 delta=cfg.gh_delta, epsilon_mult=cfg.gh_epsilon_mult,
-                 output_scaling=(p_ds.col_min, p_ds.col_max),
-                 target_names=PARAM_NAMES)
-    inv = gh_fit(p_ds.rows[train], c_ds.rows[train], retain=cfg.gh_retain,
-                 delta=cfg.gh_delta, epsilon_mult=cfg.gh_epsilon_mult,
-                 output_scaling=(c_ds.col_min, c_ds.col_max),
-                 target_names=coord_names)
-    pred = gh_predict(fwd, c_ds.rows[test])
-    mae = {nm: float(np.mean(np.abs(pred[:, j] - p_ds.rows[test][:, j])))
+    fwd = gh_fit(c01[train], p01[train], retain=cfg.gh_retain, delta=cfg.gh_delta,
+                 epsilon_mult=cfg.gh_epsilon_mult, target_names=PARAM_NAMES)
+    inv = gh_fit(p01[train], c01[train], retain=cfg.gh_retain, delta=cfg.gh_delta,
+                 epsilon_mult=cfg.gh_epsilon_mult, target_names=coord_names)
+    pred = gh_predict(fwd, c01[test])
+    mae = {nm: float(np.mean(np.abs(pred[:, j] - p01[test][:, j])))
            for j, nm in enumerate(PARAM_NAMES)}
-    pred_inv = gh_predict(inv, p_ds.rows[test])
-    mae_inv = {nm: float(np.mean(np.abs(pred_inv[:, j] - c_ds.rows[test][:, j])))
+    pred_inv = gh_predict(inv, p01[test])
+    mae_inv = {nm: float(np.mean(np.abs(pred_inv[:, j] - c01[test][:, j])))
                for j, nm in enumerate(coord_names)}
-    return GHTrack(fwd, inv, p_ds, c_ds, train, test, pred, mae, mae_inv)
+    return GHTrack(fwd, inv, p01, c01, train, test, pred, mae, mae_inv)
 
 
-def square_ift_reports(forward: GHModel, forward_mae: dict, params01: Dataset,
-                       coords01: Dataset, train: np.ndarray, test: np.ndarray,
+def square_ift_reports(forward: GHModel, forward_mae: dict, params01: np.ndarray,
+                       coords01: np.ndarray, train: np.ndarray, test: np.ndarray,
                        cfg: Config) -> tuple[list[str], JacobianReport, JacobianReport]:
     """Jacobian-determinant (local bijectivity) reports of the two square maps.
 
     The identifiable parameters are the d with the smallest forward test
-    error, d being the number of coordinates.  Coordinates -> those
+    error, d being the number of coordinates.  ``params01`` and ``coords01``
+    are the [0, 1]-rescaled rows of :class:`GHTrack`.  Coordinates -> those
     parameters keeps their columns of the forward model; those parameters ->
     coordinates is fitted afresh on the training rows.  Both are checked on
     the test rows.
@@ -514,11 +512,11 @@ def square_ift_reports(forward: GHModel, forward_mae: dict, params01: Dataset,
     fwd_sq = GHModel(forward.training_inputs, forward.epsilon_star, forward.eigenvalues,
                      forward.eigenvectors, forward.coefficients[:, id_cols],
                      target_names=tuple(identifiable))
-    inv_sq = gh_fit(params01.rows[train][:, id_cols], coords01.rows[train],
+    inv_sq = gh_fit(params01[train][:, id_cols], coords01[train],
                     retain=cfg.gh_retain, delta=cfg.gh_delta,
                     epsilon_mult=cfg.gh_epsilon_mult)
-    return (identifiable, jacobian_report(fwd_sq, coords01.rows[test]),
-            jacobian_report(inv_sq, params01.rows[test][:, id_cols]))
+    return (identifiable, jacobian_report(fwd_sq, coords01[test]),
+            jacobian_report(inv_sq, params01[test][:, id_cols]))
 
 
 def _selected_data(out_dir: str, selected) -> tuple[np.ndarray, np.ndarray]:
@@ -542,7 +540,7 @@ def stage_gh(cfg: Config, out_dir: str):
                                         "inverse_mae": track.inverse_mae})
     write_csv(st.path("gh_test_predictions.csv"),
               [f"pred_{nm}" for nm in PARAM_NAMES] + [f"true_{nm}" for nm in PARAM_NAMES],
-              np.column_stack([track.predictions, track.params01.rows[track.test]]))
+              np.column_stack([track.predictions, track.params01[track.test]]))
     st.finish()
     return track.forward_mae
 

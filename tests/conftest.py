@@ -58,7 +58,7 @@ def dmaps_track(ensemble_2000):
     emb = embed_outputs(outputs, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep, sel = select_coordinates(emb, cfg)
+        rep, sel = select_coordinates(emb.eigenvectors, cfg)
     elapsed = time.monotonic() - t0
     return {"embedding": emb, "residuals": rep, "selection": sel, "elapsed": elapsed}
 

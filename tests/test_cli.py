@@ -3,6 +3,7 @@ import dataclasses
 import glob
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -36,6 +37,19 @@ def tiny_cfg(tmp_path):
         "target_dim = 6\n"
     )
     return str(p)
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """(config path, run directory) of a small ensemble taken through the
+    residuals stage; the residual-gap rule picks the coordinates."""
+    root = tmp_path_factory.mktemp("small")
+    cfg_path = root / "small.cfg"
+    cfg_path.write_text("n_samples = 64\ndmaps_k = 12\nresidual_max_k = 8\n")
+    out = str(root / "run")
+    for stage in ("sample", "ensemble", "dmaps", "residuals"):
+        assert main([stage, "--config", str(cfg_path), "--out", out]) == 0
+    return str(cfg_path), out
 
 
 class TestConfig:
@@ -151,6 +165,27 @@ class TestConfig:
                         (used_as_method if "." in name else used))
         assert not unused, f"package names and public methods nothing references: {unused}"
 
+    def test_every_parameter_is_read(self):
+        # each parameter of a module-level function or a method of a module-level
+        # class must be loaded somewhere in its body, a nested function's body
+        # included; nested functions themselves are not checked, since scipy fixes
+        # the signatures of its callbacks.  Names are matched, not bindings
+        unread = []
+        for path, tree in _parsed("src/genident/*.py"):
+            where = os.path.relpath(path, ROOT)
+            functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+            for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+                functions += [m for m in cls.body if isinstance(m, ast.FunctionDef)]
+            for fn in functions:
+                a = fn.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          a.vararg, a.kwarg)
+                          if p is not None and p.arg not in ("self", "cls")]
+                read = {node.id for node in ast.walk(fn)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                unread += [f"{where}:{fn.lineno} {fn.name}({p})" for p in params if p not in read]
+        assert not unread, f"parameters nothing reads: {unread}"
+
 
 class TestCliStages:
     def test_simulate_writes_trajectory(self, tmp_path, tiny_cfg):
@@ -190,6 +225,42 @@ class TestCliStages:
         second = open(os.path.join(out, "ensemble_params.csv"), "rb").read()
         assert first == second
 
+    def test_residuals_stage_matches_the_in_memory_selection(self, small_run):
+        # the stage reads embedding.csv, whose column 0 holds the sample ids where
+        # the in-memory embedding holds phi_0, so equal results also show that
+        # column 0 is not read
+        cfg_path, out = small_run
+        cfg = load_config(cfg_path)
+        _, outputs = read_csv(os.path.join(out, "ensemble_outputs.csv"))
+        phi = pipeline.embed_outputs(outputs, cfg).eigenvectors
+        rep, sel = pipeline.select_coordinates(phi, cfg)
+        with open(os.path.join(out, "residuals.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        np.testing.assert_array_equal(report["residuals"], rep.residuals)
+        assert report["selected"] == list(sel.indices)
+        assert np.isfinite(sel.gap_ratio) and report["gap_ratio"] == sel.gap_ratio
+
+    @pytest.mark.parametrize("stage, line, argv", [
+        ("sample", "", ["--seed", "-1"]),
+        ("residuals", "residual_max_k = 0", []),
+        ("residuals", "residual_bandwidth_mult = 0.0", []),
+        ("gh-fit", "split_seed = -1", []),
+        ("gh-fit", "train_frac = 1.0", []),
+        ("gh-fit", "gh_delta = 1.0", []),
+    ], ids=["seed", "residual_max_k", "residual_bandwidth_mult", "split_seed",
+            "train_frac", "gh_delta"])
+    def test_out_of_range_value_exits_2(self, small_run, tmp_path, capsys, stage, line, argv):
+        # each fails as a precondition at the first stage that reads it: not with a
+        # traceback, a singular solve, NaN errors or a model with no basis
+        cfg_path, out = small_run
+        run = str(tmp_path / "run")
+        shutil.copytree(out, run)
+        bad = tmp_path / "bad.cfg"
+        with open(cfg_path, encoding="utf-8") as fh:
+            bad.write_text(fh.read() + line + "\n")
+        assert main([stage, "--config", str(bad), "--out", run, *argv]) == 2
+        assert "precondition violation" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus = 1\n")
@@ -206,7 +277,10 @@ class TestCliStages:
         out = str(tmp_path / "run")
         os.makedirs(out)
         model_path = os.path.join(out, "model.json")
-        write_json(model_path, _gh_model_json(m, [1, 2], np.arange(60), np.arange(60, 80)))
+        obj = _gh_model_json(m, [1, 2], np.arange(60), np.arange(60, 80))
+        # older model files also carry the training rescaling's column ranges
+        obj["output_scaling"] = [[0.0, 0.0], [1.0, 1.0]]
+        write_json(model_path, obj)
         inputs_path = os.path.join(out, "inputs.csv")
         write_csv(inputs_path, ["x1", "x2"], X[:5])
         code = main(["gh-eval", "--model", model_path, "--inputs", inputs_path,

@@ -16,15 +16,14 @@ from genident.errors import DomainError, SolverError
 
 class TestRescale:
     def test_simple_column(self):
-        ds = rescale01(np.array([[0.0], [5.0], [10.0]]))
-        np.testing.assert_allclose(ds.rows[:, 0], [0.0, 0.5, 1.0])
+        rows = rescale01(np.array([[0.0], [5.0], [10.0]]))
+        np.testing.assert_allclose(rows[:, 0], [0.0, 0.5, 1.0])
 
     def test_constant_column_maps_to_half_with_warning(self):
         raw = np.column_stack([np.arange(4.0), np.full(4, 2.0)])
         with pytest.warns(UserWarning, match="constant"):
-            ds = rescale01(raw)
-        np.testing.assert_array_equal(ds.rows[:, 1], 0.5)
-        assert ds.constant_columns[1]
+            rows = rescale01(raw)
+        np.testing.assert_array_equal(rows[:, 1], 0.5)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
@@ -159,13 +158,13 @@ class TestResiduals:
 
     def test_first_residual_is_one_by_convention(self, rectangle_embedding):
         emb, _ = rectangle_embedding
-        rep = local_linear_residuals(emb)
+        rep = local_linear_residuals(emb.eigenvectors)
         assert rep.residuals[0] == 1.0
         assert rep.indices[0] == 1
 
     def test_harmonics_have_small_residuals(self, rectangle_embedding):
         emb, y = rectangle_embedding
-        rep = local_linear_residuals(emb)
+        rep = local_linear_residuals(emb.eigenvectors)
         cors = np.array([abs(np.corrcoef(emb.eigenvectors[:, k], y)[0, 1])
                          for k in rep.indices])
         short_axis = rep.indices[int(np.argmax(cors))]
@@ -184,7 +183,7 @@ class TestResiduals:
         emb = dmaps(R, median_epsilon(R, 0.05), k=8)
         phi = emb.eigenvectors
         n = phi.shape[0]
-        rep = local_linear_residuals(emb, bandwidth_mult=0.5)
+        rep = local_linear_residuals(phi, bandwidth_mult=0.5)
         want = [1.0]
         for k in range(2, 8):
             X = np.column_stack([np.ones(n), phi[:, 1:k]])
@@ -203,20 +202,16 @@ class TestResiduals:
     def test_singular_local_fits_take_the_ridge_fallback(self):
         # three clusters in phi_1 and a bandwidth far below their spacing:
         # every row's neighbours share its phi_1, so every local fit is singular
-        from genident.dmaps import DMapsEmbedding
         phi = np.column_stack([np.ones(60), np.repeat([0.0, 0.5, 1.0], 20),
                                np.random.default_rng(0).standard_normal(60)])
-        emb = DMapsEmbedding(np.array([1.0, 0.9, 0.8]), phi, 1.0)
         with pytest.warns(UserWarning, match="ridge fallback"):
-            rep = local_linear_residuals(emb, bandwidth_mult=0.01)
+            rep = local_linear_residuals(phi, bandwidth_mult=0.01)
         assert rep.ridge_fallbacks == 60
         assert np.all(np.isfinite(rep.residuals))
 
     def test_needs_two_eigenvectors(self):
-        from genident.dmaps import DMapsEmbedding
-        emb = DMapsEmbedding(np.array([1.0]), np.ones((10, 1)), 1.0)
         with pytest.raises(DomainError):
-            local_linear_residuals(emb)
+            local_linear_residuals(np.ones((10, 1)))
 
 
 class TestSelection:

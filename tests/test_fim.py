@@ -13,7 +13,8 @@ from genident.fim import (
     sensitivities,
     spectrum,
 )
-from genident.generator import LIMIT_CHAIN, IndependentParams, LimitFlags, integrate, observe
+from genident.generator import (LIMIT_CHAIN, PARAM_NAMES, IndependentParams, LimitFlags,
+                                integrate, observe)
 
 NOM = IndependentParams.nominal()
 IDENTIFIABLE = ("dx2", "dx3", "dx4", "xdpp", "dTd", "dTq")
@@ -92,8 +93,8 @@ class TestFim:
     def test_psd_at_random_points_near_nominal(self):
         rng = np.random.default_rng(17)
         for _ in range(3):
-            p = IndependentParams.from_array(
-                NOM.to_array() * (1 + 0.1 * rng.uniform(-1, 1, 11)))
+            a = NOM.to_array() * (1 + 0.1 * rng.uniform(-1, 1, 11))
+            p = IndependentParams(**dict(zip(PARAM_NAMES, a)))
             S = sensitivities(p)
             I = fim(S)
             lam = np.linalg.eigvalsh(I.entries)

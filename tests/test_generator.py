@@ -55,7 +55,7 @@ class TestParamMaps:
     def test_ordering_chain_holds_for_random_nonnegative_inputs(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            b = _bare(IndependentParams.from_array(rng.uniform(0, 10, 11)))
+            b = _bare(IndependentParams(**dict(zip(PARAM_NAMES, rng.uniform(0, 10, 11)))))
             chain = [b[nm] for nm in ("x_d", "x_q", "x_q1", "x_d1", "x_q2", "x_d2")] + [0.0]
             assert all(hi >= lo for hi, lo in zip(chain, chain[1:]))
             assert b["T_d01"] >= b["T_d02"] >= 0 and b["T_q01"] >= b["T_q02"] >= 0
