@@ -38,7 +38,7 @@ for e in chain:
 # fidelity of the final reduced model, restarted from the full state at t=3
 nom = IndependentParams.nominal()
 full = integrate(nom)
-red = integrate(nom, LimitFlags.all(), ics=full.state_at(3.0),
+red = integrate(nom, LimitFlags.all(), ics=full.at([3.0])[0, 0],
                 t_end=5.0, t_start=3.0)
 t = np.linspace(3.0, 5.0, 401)
 sf = full.at(t)[0]

@@ -13,14 +13,12 @@ leave-one-out residuals grind through every eigenvector.
 
 import numpy as np
 
-from genident.ensemble import EnsembleSpec, run_ensemble, sample_ensemble
+from genident.ensemble import run_ensemble, sample_ensemble
 from genident.pipeline import Config, embed_outputs, select_coordinates
 from genident.svgplot import line_plot
 
 cfg = Config()
-spec = EnsembleSpec(n_samples=cfg.n_samples, perturbation=cfg.perturbation,
-                    seed=cfg.seed)
-params = sample_ensemble(spec)
+params = sample_ensemble(cfg.n_samples, cfg.perturbation, cfg.seed)
 run = run_ensemble(params, workers=cfg.workers)
 print(f"simulated {run.outputs.shape[0]} members, "
       f"{run.outputs.shape[1]} observations each")

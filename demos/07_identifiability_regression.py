@@ -10,12 +10,12 @@ descriptions are locally one-to-one.
 Runs the full data track; expect several minutes.
 """
 
-from genident.ensemble import EnsembleSpec, run_ensemble, sample_ensemble
+from genident.ensemble import run_ensemble, sample_ensemble
 from genident.pipeline import (Config, embed_outputs, fit_gh_track, select_coordinates,
                                square_ift_reports)
 
 cfg = Config()
-params = sample_ensemble(EnsembleSpec(n_samples=cfg.n_samples, seed=cfg.seed))
+params = sample_ensemble(cfg.n_samples, cfg.perturbation, cfg.seed)
 run = run_ensemble(params, workers=cfg.workers)
 params = params[run.row_indices]
 

@@ -16,7 +16,6 @@ from .generator import (
     IndependentParams,
     LimitFlags,
     ObservationGrid,
-    StateVector,
     Trajectory,
     integrate,
     observe,

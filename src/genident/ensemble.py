@@ -21,7 +21,6 @@ from .generator import (
 )
 
 __all__ = [
-    "EnsembleSpec",
     "EnsembleRun",
     "ComparisonReport",
     "sample_ensemble",
@@ -33,23 +32,11 @@ __all__ = [
 # worker count
 _CHUNK = 64
 
+#: half-width of the ensemble's uniform box, relative to nominal
+DEFAULT_PERTURBATION = 0.10
+
 #: projection norm above which a parameter counts as identifiable in compare_tracks
 DEFAULT_PROJECTION_THRESHOLD = 0.8
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    n_samples: int = 10000
-    perturbation: float = 0.10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_samples < 2:
-            raise DomainError("need at least two ensemble members")
-        if not 0.0 <= self.perturbation < 1.0:
-            raise DomainError("perturbation half-width must lie in [0, 1)")
-        if self.seed < 0:
-            raise DomainError(f"ensemble seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -77,16 +64,25 @@ class ComparisonReport:
         }
 
 
-def sample_ensemble(spec: EnsembleSpec) -> np.ndarray:
-    """Uniform box sample of the independent parameters around nominal.
+def sample_ensemble(n_samples: int, perturbation: float = DEFAULT_PERTURBATION,
+                    seed: int = 0) -> np.ndarray:
+    """Uniform box sample of ``n_samples`` independent-parameter rows around nominal.
 
     Each of the 11 parameters is drawn independently from
-    [nominal (1 - w), nominal (1 + w)]; deterministic for a given seed.
+    [nominal (1 - w), nominal (1 + w)], w = ``perturbation``; deterministic for
+    a given ``seed``.  Raises :class:`DomainError` for fewer than two rows, w
+    outside [0, 1) or a negative seed.
     """
+    if n_samples < 2:
+        raise DomainError("need at least two ensemble members")
+    if not 0.0 <= perturbation < 1.0:
+        raise DomainError("perturbation half-width must lie in [0, 1)")
+    if seed < 0:
+        raise DomainError(f"ensemble seed must be non-negative, got {seed}")
     nominal = IndependentParams.nominal().to_array()
-    rng = np.random.default_rng(spec.seed)
-    u = rng.uniform(-1.0, 1.0, size=(spec.n_samples, len(PARAM_NAMES)))
-    return nominal[None, :] * (1.0 + spec.perturbation * u)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, size=(n_samples, len(PARAM_NAMES)))
+    return nominal[None, :] * (1.0 + perturbation * u)
 
 
 def _run_chunk(args):
@@ -114,8 +110,12 @@ def run_ensemble(params: np.ndarray, grid: ObservationGrid = DEFAULT_GRID,
 
     Rows are integrated in fixed-size shared-step chunks, so the result is
     identical for any worker count; failed rows are dropped with a warning and
-    more than ``max_failure_frac`` failures aborts the run.
+    more than ``max_failure_frac`` failures aborts the run.  ``rtol``, the
+    solver tolerance of every row, must be finite and positive: it is checked
+    here, since a row that fails is retried and then dropped.
     """
+    if not (np.isfinite(rtol) and rtol > 0):
+        raise DomainError(f"rtol must be finite and positive, got {rtol!r}")
     params = np.atleast_2d(np.asarray(params, dtype=float))
     n = params.shape[0]
     tasks = [(lo, params[lo:lo + _CHUNK], grid, rtol)

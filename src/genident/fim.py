@@ -26,7 +26,6 @@ from .generator import (
 
 __all__ = [
     "SensitivityMatrix",
-    "FIMatrix",
     "InfoSpectrum",
     "generator_map",
     "central_points",
@@ -63,29 +62,22 @@ class SensitivityMatrix:
 
 
 @dataclass(frozen=True)
-class FIMatrix:
-    entries: np.ndarray  # (n, n)
-
-    def __post_init__(self):
-        a = self.entries
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError("FIM must be square")
-        scale = max(np.abs(a).max(), 1.0)
-        if np.abs(a - a.T).max() > 1e-12 * scale:
-            raise DomainError("FIM must be symmetric")
-
-
-@dataclass(frozen=True)
 class InfoSpectrum:
+    """Eigenpairs of the information matrix, modes ordered stiff to sloppy."""
+
     eigenvalues: np.ndarray  # descending
-    participation: np.ndarray  # (n_params, n_modes), squared components
-    param_names: tuple[str, ...]
     eigenvectors: np.ndarray  # (n_params, n_modes), sign-fixed
+    param_names: tuple[str, ...]
+
+    @property
+    def participation(self) -> np.ndarray:
+        """Squared eigenvector components, (n_params, n_modes); each column sums to one."""
+        return self.eigenvectors**2
 
     def identifiable_projection(self, k: int) -> dict[str, float]:
         """Norm of each parameter axis projected onto the span of the top-k modes."""
-        return {name: float(np.sqrt(self.participation[i, :k].sum()))
-                for i, name in enumerate(self.param_names)}
+        part = self.participation
+        return {name: float(np.sqrt(part[i, :k].sum())) for i, name in enumerate(self.param_names)}
 
 
 def generator_map(flags: LimitFlags = LimitFlags(),
@@ -161,33 +153,31 @@ def sensitivities(p: IndependentParams, flags: LimitFlags = LimitFlags(),
     return SensitivityMatrix(J, active)
 
 
-def fim(J: SensitivityMatrix | np.ndarray) -> FIMatrix:
-    """Fisher information J^T J, with the noise scale fixed to 1 by convention."""
-    entries = J.entries if isinstance(J, SensitivityMatrix) else np.asarray(J, dtype=float)
-    if not np.all(np.isfinite(entries)):
-        raise DomainError("sensitivity matrix has non-finite entries")
-    M = entries.T @ entries
-    return FIMatrix(0.5 * (M + M.T))
+def fim(S: SensitivityMatrix) -> np.ndarray:
+    """Fisher information S^T S of the sensitivity entries, an (n, n) array
+    symmetrised exactly, with the noise scale fixed to 1 by convention."""
+    M = S.entries.T @ S.entries
+    return 0.5 * (M + M.T)
 
 
-def spectrum(I: FIMatrix, names: Sequence[str] | None = None) -> InfoSpectrum:
-    """Eigen-decomposition of the information matrix, modes ordered stiff to sloppy.
+def spectrum(I: np.ndarray, names: Sequence[str] | None = None) -> InfoSpectrum:
+    """Eigen-decomposition of the symmetric information matrix ``I``, modes
+    ordered stiff to sloppy.
 
-    Participation entries are squared eigenvector components, so each column
-    sums to one.  Signs are fixed by making the largest-magnitude component of
-    each eigenvector positive.
+    Signs are fixed by making the largest-magnitude component of each
+    eigenvector positive.  ``names`` (default ``p0, p1, ...``) label the rows.
     """
-    lam, U = np.linalg.eigh(I.entries)
+    lam, U = np.linalg.eigh(I)
     lam, U = lam[::-1].copy(), U[:, ::-1].copy()
     for k in range(U.shape[1]):
         if U[np.argmax(np.abs(U[:, k])), k] < 0:
             U[:, k] = -U[:, k]
-    n = I.entries.shape[0]
+    n = I.shape[0]
     if names is None:
         names = tuple(f"p{i}" for i in range(n))
     if len(names) != n:
         raise DomainError("names length must match matrix size")
-    return InfoSpectrum(lam, U**2, tuple(names), U)
+    return InfoSpectrum(lam, U, tuple(names))
 
 
 def effective_dimension(s: InfoSpectrum, cutoff: float = DEFAULT_CUTOFF) -> int:

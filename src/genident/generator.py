@@ -40,12 +40,12 @@ from .errors import DomainError, SolverError
 
 __all__ = [
     "IndependentParams",
-    "StateVector",
     "LimitFlags",
     "Trajectory",
     "ObservationGrid",
     "PARAM_NAMES",
     "STATE_NAMES",
+    "INITIAL_STATE",
     "LIMIT_CHAIN",
     "rhs",
     "integrate",
@@ -60,6 +60,9 @@ __all__ = [
 PARAM_NAMES = ("H", "D", "dx1", "dx2", "dx3", "dx4", "xdpp", "dTd", "dTq", "Tdpp", "Tqpp")
 
 STATE_NAMES = ("delta", "omega", "eq1", "ed1", "eq2", "ed2")
+
+#: The post-disturbance initial state, in :data:`STATE_NAMES` order.
+INITIAL_STATE = (0.5, 0.98, 2.13, 0.02, 1.93, 0.02)
 
 #: The paper's order of the limits, which names its nested models
 #: (:meth:`LimitFlags.first`).  It is not a validity rule: the flags are
@@ -140,26 +143,6 @@ def _bare(H, D, dx1, dx2, dx3, dx4, xdpp, dTd, dTq, Tdpp, Tqpp) -> dict:
         "T_d01": Tdpp + dTd, "T_d02": Tdpp,
         "T_q01": Tqpp + dTq, "T_q02": Tqpp,
     }
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Full model state; defaults are the post-disturbance initial data."""
-
-    delta: float = 0.5
-    omega: float = 0.98
-    eq1: float = 2.13
-    ed1: float = 0.02
-    eq2: float = 1.93
-    ed2: float = 0.02
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.delta, self.omega, self.eq1, self.ed1, self.eq2, self.ed2])
-
-    @classmethod
-    def from_array(cls, a: Sequence[float]) -> "StateVector":
-        a = np.asarray(a, dtype=float)
-        return cls(*(float(v) for v in a))
 
 
 @dataclass(frozen=True)
@@ -423,16 +406,17 @@ def solve_power_angle(rest: np.ndarray, b, guess=None) -> np.ndarray:
                       residual=float(np.max(np.abs(r))))
 
 
-def rhs(s: StateVector | Sequence[float], p: IndependentParams, flags: LimitFlags = LimitFlags()):
+def rhs(s: Sequence[float], p: IndependentParams, flags: LimitFlags = LimitFlags()):
     """State derivative and algebraic residuals at one full six-component state.
 
-    The derivative covers the states of ``flags.dynamic_states()``, in that
-    order.  Once ``h_zero`` is set the rotor angle is algebraic, solved from
-    the power balance.  The residual dict reports the power-balance defect
-    ``P_m - P_g`` (at the solved angle once ``h_zero`` is set).
+    ``s`` holds the six states in :data:`STATE_NAMES` order.  The derivative
+    covers the states of ``flags.dynamic_states()``, in that order.  Once
+    ``h_zero`` is set the rotor angle is algebraic, solved from the power
+    balance.  The residual dict reports the power-balance defect ``P_m - P_g``
+    (at the solved angle once ``h_zero`` is set).
     """
     b = _bare_arrays(p.to_array()[None, :], flags)
-    arr = np.asarray(s.to_array() if isinstance(s, StateVector) else s, dtype=float)
+    arr = np.asarray(s, dtype=float)
     y = arr[[STATE_NAMES.index(nm) for nm in _integrated_states(flags)]].reshape(-1, 1, 1)
     if flags.h_zero:
         y[0] = solve_power_angle(y[1:], b, guess=y[0] if arr[0] > 0 else None)
@@ -463,14 +447,15 @@ class Trajectory:
                 f"requested times outside trajectory span {self.t_span}")
         return self._evaluator(t)
 
-    def state_at(self, t: float) -> StateVector:
-        return StateVector.from_array(self.at([t])[0, 0])
-
 
 def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
-                    ics: StateVector | None = None, t_end: float = 5.0, *,
+                    ics: Sequence[float] | None = None, t_end: float = 5.0, *,
                     t_start: float = 0.0, rtol: float = 1e-7, atol: float = 1e-7) -> Trajectory:
     """Integrate many parameter sets over one shared adaptive-step sequence.
+
+    Every set starts from ``ics``, the six states in :data:`STATE_NAMES` order
+    (None means :data:`INITIAL_STATE`), at ``t_start``.  ``rtol`` and ``atol``
+    are the RK45 tolerances and must be finite and positive.
 
     Sharing the step sequence keeps the members' integration errors strongly
     correlated, which is what makes finite-difference sensitivities of the
@@ -488,12 +473,14 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     if not np.all(np.isfinite(params)) or np.any(params < 0):
         raise DomainError("parameter sets must be finite and non-negative")
     n = params.shape[0]
-    if ics is None:
-        ics = StateVector()
+    x0 = np.asarray(INITIAL_STATE if ics is None else ics, dtype=float)
+    if x0.shape != (len(STATE_NAMES),) or not np.all(np.isfinite(x0)):
+        raise DomainError(f"ics must hold {len(STATE_NAMES)} finite states, got {ics!r}")
     if t_end < t_start:
         raise DomainError("t_end must be >= t_start")
+    if not all(math.isfinite(tol) and tol > 0 for tol in (rtol, atol)):
+        raise DomainError(f"rtol and atol must be finite and positive, got {rtol!r}, {atol!r}")
     b = _bare_arrays(params, flags)
-    x0 = ics.to_array()
 
     if t_end == t_start:
         return Trajectory(np.array([t_start]), (t_start, t_end), n,
@@ -537,16 +524,17 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     def evaluator(t):
         x = columns(sol.sol(t).reshape(-1, n, len(t)))
         if flags.h_zero:
-            x[1] = ics.omega + (x[1] - ddelta0) / OMEGA_B
+            x[1] = x0[1] + (x[1] - ddelta0) / OMEGA_B
         return np.stack(x, axis=-1)
 
     return Trajectory(sol.t.copy(), (t_start, t_end), n, evaluator)
 
 
 def integrate(p: IndependentParams, flags: LimitFlags = LimitFlags(),
-              ics: StateVector | None = None, t_end: float = 5.0, *,
+              ics: Sequence[float] | None = None, t_end: float = 5.0, *,
               t_start: float = 0.0, rtol: float = 1e-7, atol: float = 1e-7) -> Trajectory:
-    """Integrate a single parameter set; see :func:`integrate_batch`."""
+    """Integrate a single parameter set from ``ics`` (None means
+    :data:`INITIAL_STATE`); see :func:`integrate_batch`."""
     return integrate_batch(p.to_array()[None, :], flags, ics, t_end,
                            t_start=t_start, rtol=rtol, atol=atol)
 

@@ -184,9 +184,12 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
     evaluation budget has stalled: at a boundary if the speed it reached had
     risen by ``_PLATEAU_RATIO``, else a ``failure``.  Running out the
     ``tau_max`` arc budget is not a boundary; model breakdown yields a partial
-    trace marked ``failure``.  ``rtol`` is the RK45 tolerance, and
-    ``param_names`` (default ``p0, p1, ...``) label the trace's columns.
+    trace marked ``failure``.  ``rtol`` is the RK45 tolerance, finite and
+    positive, and ``param_names`` (default ``p0, p1, ...``) label the trace's
+    columns.
     """
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise DomainError(f"geodesic rtol must be finite and positive, got {rtol!r}")
     theta0 = np.asarray(theta, dtype=float)
     v0 = np.asarray(velocity, dtype=float)
     n = theta0.size

@@ -30,10 +30,11 @@ from .dmaps import (
     rescale01,
     select_nonharmonic,
 )
-from .ensemble import (DEFAULT_PROJECTION_THRESHOLD, EnsembleSpec, compare_tracks,
+from .ensemble import (DEFAULT_PERTURBATION, DEFAULT_PROJECTION_THRESHOLD, compare_tracks,
                        run_ensemble, sample_ensemble)
 from .errors import ChainDivergenceError, DomainError
-from .fim import DEFAULT_CUTOFF, effective_dimension, fim, sensitivities, spectrum
+from .fim import (DEFAULT_CUTOFF, InfoSpectrum, effective_dimension, fim, sensitivities,
+                  spectrum)
 from .generator import (
     PARAM_NAMES,
     STATE_NAMES,
@@ -56,7 +57,7 @@ class Config:
     """Every tunable of the pipeline; mirrors the config-file keys one to one."""
 
     n_samples: int = 2000
-    perturbation: float = 0.10
+    perturbation: float = DEFAULT_PERTURBATION
     seed: int = 0
     workers: int = 1
     t_start: float = 3.0
@@ -231,8 +232,7 @@ def stage_simulate(cfg: Config, out_dir: str) -> str:
 
 def stage_sample(cfg: Config, out_dir: str) -> str:
     st = Stage(out_dir, "sample", cfg)
-    spec = EnsembleSpec(cfg.n_samples, cfg.perturbation, cfg.seed)
-    params = sample_ensemble(spec)
+    params = sample_ensemble(cfg.n_samples, cfg.perturbation, cfg.seed)
     path = st.path("ensemble_params.csv")
     write_csv(path, list(PARAM_NAMES), params)
     st.finish()
@@ -254,13 +254,16 @@ def stage_ensemble(cfg: Config, out_dir: str) -> str:
 
 
 def stage_fim(cfg: Config, out_dir: str):
-    """Information spectrum of the full model at nominal, with its participation heatmap."""
+    """Information spectrum of the full model at nominal (eigenvalues, signed
+    modes and their participation), with its participation heatmap."""
     st = Stage(out_dir, "fim", cfg)
     S = sensitivities(IndependentParams.nominal(), grid=cfg.grid())
     sp = spectrum(fim(S), S.param_names)
+    part = sp.participation
     write_json(st.path("spectrum.json"), {
         "eigenvalues": sp.eigenvalues.tolist(),
-        "participation": sp.participation.tolist(),
+        "eigenvectors": sp.eigenvectors.tolist(),
+        "participation": part.tolist(),
         "names": list(sp.param_names),
         "effective_dimension": effective_dimension(sp, cfg.fim_cutoff),
         "cutoff": cfg.fim_cutoff,
@@ -272,7 +275,7 @@ def stage_fim(cfg: Config, out_dir: str):
         fh.write(",".join(header) + "\n")
         fh.write("eigenvalue," + ",".join("%.15g" % v for v in sp.eigenvalues) + "\n")
         for i, nm in enumerate(sp.param_names):
-            fh.write(nm + "," + ",".join("%.15g" % v for v in sp.participation[i]) + "\n")
+            fh.write(nm + "," + ",".join("%.15g" % v for v in part[i]) + "\n")
     if cfg.svg:
         from .svgplot import line_plot
         line_plot(st.path("spectrum.svg"), np.arange(1, n + 1),
@@ -335,7 +338,7 @@ def stage_reduced_compare(cfg: Config, out_dir: str):
     """Full vs fully reduced dynamics over the observation window."""
     st = Stage(out_dir, "reduced-compare", cfg)
     full = integrate(IndependentParams.nominal(), rtol=cfg.rtol, atol=cfg.rtol, t_end=cfg.t_end)
-    ics = full.state_at(cfg.t_start)
+    ics = full.at([cfg.t_start])[0, 0]
     red = integrate(IndependentParams.nominal(), LimitFlags.all(), ics=ics,
                     t_end=cfg.t_end, t_start=cfg.t_start, rtol=cfg.rtol, atol=cfg.rtol)
     t = cfg.grid().times()
@@ -578,10 +581,10 @@ def stage_ift(cfg: Config, out_dir: str):
 def stage_compare(cfg: Config, out_dir: str):
     st = Stage(out_dir, "compare", cfg)
     spec_obj = read_json(os.path.join(out_dir, "spectrum.json"))
-    from .fim import InfoSpectrum
-    part = np.asarray(spec_obj["participation"], dtype=float)
-    sp = InfoSpectrum(np.asarray(spec_obj["eigenvalues"], dtype=float), part,
-                      tuple(spec_obj["names"]), np.sqrt(part))
+    if "eigenvectors" not in spec_obj:
+        raise DomainError("spectrum.json holds no eigenvectors; rerun the fim stage")
+    sp = InfoSpectrum(np.asarray(spec_obj["eigenvalues"], dtype=float),
+                      np.asarray(spec_obj["eigenvectors"], dtype=float), tuple(spec_obj["names"]))
     sel = read_json(os.path.join(out_dir, "residuals.json"))["selected"]
     mae = read_json(os.path.join(out_dir, "gh_mae.json"))["forward_mae"]
     report = compare_tracks(sp, len(sel), mae, cutoff=cfg.fim_cutoff,

@@ -32,9 +32,8 @@ _TIMINGS = {}
 @pytest.fixture(scope="session")
 def ensemble_2000():
     import time
-    from genident.ensemble import EnsembleSpec, run_ensemble, sample_ensemble
-    spec = EnsembleSpec(n_samples=2000, seed=0)
-    params = sample_ensemble(spec)
+    from genident.ensemble import run_ensemble, sample_ensemble
+    params = sample_ensemble(2000, seed=0)
     t0 = time.monotonic()
     run = run_ensemble(params, workers=1)
     _TIMINGS["ensemble"] = time.monotonic() - t0

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import glob
+import importlib
 import json
 import os
 import shutil
@@ -165,6 +166,20 @@ class TestConfig:
                         (used_as_method if "." in name else used))
         assert not unused, f"package names and public methods nothing references: {unused}"
 
+    def test_every_demo_import_resolves(self):
+        # the dead-name scan checks that defined names are used, not that used names
+        # exist; a demo is not run by the suite, so a name it imports that the package
+        # no longer defines would otherwise go unnoticed
+        missing = []
+        for path, tree in _parsed("demos/*.py"):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("genident"):
+                    module = importlib.import_module(node.module)
+                    missing += [f"{os.path.relpath(path, ROOT)}:{node.lineno} "
+                                f"{node.module}.{a.name}"
+                                for a in node.names if not hasattr(module, a.name)]
+        assert not missing, f"demo imports the package does not define: {missing}"
+
     def test_every_parameter_is_read(self):
         # each parameter of a module-level function or a method of a module-level
         # class must be loaded somewhere in its body, a nested function's body
@@ -260,6 +275,48 @@ class TestCliStages:
             bad.write_text(fh.read() + line + "\n")
         assert main([stage, "--config", str(bad), "--out", run, *argv]) == 2
         assert "precondition violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stages, line", [
+        (["simulate"], "rtol = 0"),
+        (["simulate"], "rtol = -1e-7"),
+        (["sample", "ensemble"], "rtol = 0.0"),
+        (["geodesic"], "geo_rtol = 0.0"),
+    ], ids=["simulate-zero", "simulate-negative", "ensemble-zero", "geodesic-zero"])
+    def test_tolerance_not_positive_exits_2(self, tmp_path, capsys, stages, line):
+        # scipy would raise a zero rtol to 2.2e-14 with a warning the CLI drops, and
+        # reject a negative one with a bare ValueError; a zero geodesic rtol stalled
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("n_samples = 8\n" + line + "\n")
+        out = str(tmp_path / "run")
+        codes = [main([stage, "--config", str(cfg), "--out", out]) for stage in stages]
+        assert codes[-1] == 2 and set(codes[:-1]) <= {0}
+        assert "must be finite and positive" in capsys.readouterr().err
+
+    def test_compare_reads_the_spectrum_fim_wrote(self, tmp_path, tiny_cfg, nominal_spectrum):
+        # the fim stage writes the signed modes, and compare builds its spectrum from
+        # them: the same report as compare_tracks on the in-memory spectrum
+        from genident.ensemble import compare_tracks
+        from genident.pipeline import write_json
+        out = str(tmp_path / "run")
+        assert main(["fim", "--config", tiny_cfg, "--out", out]) == 0
+        with open(os.path.join(out, "spectrum.json"), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        np.testing.assert_array_equal(spec["eigenvectors"], nominal_spectrum.eigenvectors)
+        np.testing.assert_array_equal(spec["participation"], np.square(spec["eigenvectors"]))
+        selected = [1, 2, 4, 5, 7, 9]
+        mae = {nm: 0.01 * (i + 1) for i, nm in enumerate(nominal_spectrum.param_names[::-1])}
+        write_json(os.path.join(out, "residuals.json"), {"selected": selected})
+        write_json(os.path.join(out, "gh_mae.json"), {"forward_mae": mae})
+        assert main(["compare", "--config", tiny_cfg, "--out", out]) == 0
+        cfg = load_config(tiny_cfg)
+        want = compare_tracks(nominal_spectrum, len(selected), mae, cutoff=cfg.fim_cutoff,
+                              projection_threshold=cfg.projection_threshold)
+        with open(os.path.join(out, "comparison.json"), encoding="utf-8") as fh:
+            assert json.load(fh) == want.to_dict()
+        # a spectrum written without the modes asks for the fim stage to be rerun
+        del spec["eigenvectors"]
+        write_json(os.path.join(out, "spectrum.json"), spec)
+        assert main(["compare", "--config", tiny_cfg, "--out", out]) == 2
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"

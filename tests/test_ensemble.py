@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from genident.ensemble import (
-    EnsembleSpec,
     compare_tracks,
     run_ensemble,
     sample_ensemble,
 )
 from genident.errors import DomainError
-from genident.fim import fim, spectrum, central_difference_jacobian
+from genident.fim import SensitivityMatrix, fim, spectrum, central_difference_jacobian
 from genident.generator import IndependentParams, integrate, observe
 
 NOM = IndependentParams.nominal().to_array()
@@ -16,22 +15,20 @@ NOM = IndependentParams.nominal().to_array()
 
 class TestSampling:
     def test_zero_width_returns_nominal_rows(self):
-        spec = EnsembleSpec(n_samples=5, perturbation=0.0, seed=0)
-        rows = sample_ensemble(spec)
+        rows = sample_ensemble(5, perturbation=0.0, seed=0)
         np.testing.assert_allclose(rows, np.broadcast_to(NOM, rows.shape), rtol=1e-15)
 
     def test_seed_determinism(self):
-        a = sample_ensemble(EnsembleSpec(n_samples=50, seed=3))
-        b = sample_ensemble(EnsembleSpec(n_samples=50, seed=3))
+        a = sample_ensemble(50, seed=3)
+        b = sample_ensemble(50, seed=3)
         np.testing.assert_array_equal(a, b)
-        c = sample_ensemble(EnsembleSpec(n_samples=50, seed=4))
+        c = sample_ensemble(50, seed=4)
         assert np.abs(a - c).max() > 0
 
     def test_empirical_box_coverage(self):
         # statistical oracle: extremes of 1e5 uniform draws sit within 0.2%
         # of the box endpoints (per column)
-        spec = EnsembleSpec(n_samples=100000, perturbation=0.10, seed=1)
-        rows = sample_ensemble(spec)
+        rows = sample_ensemble(100000, perturbation=0.10, seed=1)
         lo = NOM * 0.9
         hi = NOM * 1.1
         width = hi - lo
@@ -42,9 +39,11 @@ class TestSampling:
 
     def test_spec_preconditions(self):
         with pytest.raises(DomainError):
-            EnsembleSpec(n_samples=1)
+            sample_ensemble(1)
         with pytest.raises(DomainError):
-            EnsembleSpec(perturbation=1.0)
+            sample_ensemble(10, perturbation=1.0)
+        with pytest.raises(DomainError):
+            sample_ensemble(10, seed=-1)
 
 
 class TestRunEnsemble:
@@ -55,14 +54,14 @@ class TestRunEnsemble:
         assert run.failures == ()
 
     def test_worker_count_does_not_change_results(self):
-        rows = sample_ensemble(EnsembleSpec(n_samples=130, seed=2))
+        rows = sample_ensemble(130, seed=2)
         r1 = run_ensemble(rows, workers=1)
         r8 = run_ensemble(rows, workers=8)
         np.testing.assert_array_equal(r1.outputs, r8.outputs)
         np.testing.assert_array_equal(r1.row_indices, r8.row_indices)
 
     def test_row_order_preserved(self):
-        rows = sample_ensemble(EnsembleSpec(n_samples=70, seed=5))
+        rows = sample_ensemble(70, seed=5)
         run = run_ensemble(rows)
         assert run.outputs.shape == (70, 606)
         np.testing.assert_array_equal(run.row_indices, np.arange(70))
@@ -82,7 +81,7 @@ def _orthogonal_three_parameter_tracks():
     names = ("a", "b", "c")
     x0 = np.log([1.0, 1.3, 0.8])
     J = central_difference_jacobian(f, x0, 1e-5)
-    sp = spectrum(fim(J), names)
+    sp = spectrum(fim(SensitivityMatrix(J, names)), names)
     mae = {"a": 0.004, "b": 0.006, "c": 0.005}
     return sp, mae, names
 

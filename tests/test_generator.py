@@ -16,8 +16,8 @@ from genident.generator import (
     STATE_NAMES,
     IndependentParams,
     LimitFlags,
+    INITIAL_STATE,
     ObservationGrid,
-    StateVector,
     integrate,
     observe,
     rhs,
@@ -132,13 +132,14 @@ def _random_state(rng, p, flags, balanced=True):
 
 class TestRhs:
     def test_reference_speed_freezes_angle(self):
-        s = StateVector(omega=OMEGA_0)
+        s = np.array(INITIAL_STATE)
+        s[1] = OMEGA_0
         d, _ = rhs(s, NOM)
         assert d[0] == 0.0
 
     def test_against_second_transcription(self):
-        state = StateVector().to_array()
-        d, res = rhs(StateVector(), NOM)
+        state = np.array(INITIAL_STATE)
+        d, res = rhs(INITIAL_STATE, NOM)
         want = _transcribed_rhs(state, NOM.to_array())
         np.testing.assert_allclose(d, want, rtol=1e-12)
         assert res["power_balance"] == pytest.approx(
@@ -148,7 +149,7 @@ class TestRhs:
         rng = np.random.default_rng(11)
         for _ in range(20):
             arr = rng.uniform(0.1, 2.0, 6)
-            d, _ = rhs(StateVector.from_array(arr), NOM)
+            d, _ = rhs(arr, NOM)
             np.testing.assert_allclose(d, _transcribed_rhs(arr, NOM.to_array()),
                                        rtol=1e-12)
 
@@ -263,7 +264,7 @@ class TestIntegrate:
 
     def test_zero_span_returns_initial_state(self):
         traj = integrate(NOM, t_end=0.0)
-        np.testing.assert_array_equal(traj.at([0.0])[0, 0], StateVector().to_array())
+        np.testing.assert_array_equal(traj.at([0.0])[0, 0], INITIAL_STATE)
 
     def test_tolerance_refinement(self, nominal_trajectory):
         y1 = observe(nominal_trajectory)
@@ -280,7 +281,14 @@ class TestIntegrate:
 
     def test_negative_param_rejected(self):
         with pytest.raises(DomainError):
-            integrate(NOM, ics=StateVector(), t_end=-1.0)
+            integrate(NOM, ics=INITIAL_STATE, t_end=-1.0)
+
+    @pytest.mark.parametrize("ics", [INITIAL_STATE[:5], INITIAL_STATE + (0.0,),
+                                     (math.nan,) + INITIAL_STATE[1:]],
+                             ids=["five", "seven", "nan"])
+    def test_initial_state_must_be_six_finite_values(self, ics):
+        with pytest.raises(DomainError, match="6 finite states"):
+            integrate(NOM, ics=ics)
 
     @pytest.mark.parametrize("name, zeros, flags", [
         ("H", ("H",), LimitFlags()),
@@ -341,7 +349,7 @@ class TestReducedModel:
                              ids=["first2", "all"])
     def test_speed_is_the_rate_of_the_solved_angle(self, flags):
         traj = integrate(NOM, flags)
-        assert traj.at([0.0])[0, 0, 1] == StateVector().omega
+        assert traj.at([0.0])[0, 0, 1] == INITIAL_STATE[1]
         t = np.linspace(0.1, 4.9, 25)
         h = 1e-4
         omega = traj.at(t)[0, :, 1]
@@ -375,12 +383,12 @@ class TestReducedModel:
             assert err <= 10 * r, f"rtol {r:g}: max abs error {err:.3e}"
 
     def test_rhs_covers_the_emf_states_at_power_balance(self):
-        d, res = rhs(StateVector(), NOM, LimitFlags.first(2))
+        d, res = rhs(INITIAL_STATE, NOM, LimitFlags.first(2))
         assert d.shape == (4,)
         assert abs(res["power_balance"]) < 1e-12
 
     def test_full_vs_reduced_fidelity(self, nominal_trajectory):
-        ics = nominal_trajectory.state_at(3.0)
+        ics = nominal_trajectory.at([3.0])[0, 0]
         red = integrate(NOM, LimitFlags.all(), ics=ics, t_end=5.0, t_start=3.0)
         tt = np.linspace(3, 5, 401)
         sf = nominal_trajectory.at(tt)[0]

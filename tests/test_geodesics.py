@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from genident.errors import ChainDivergenceError, DomainError
-from genident.fim import central_difference_jacobian, fim, spectrum, generator_map
+from genident.fim import (SensitivityMatrix, central_difference_jacobian, fim, generator_map,
+                          spectrum)
 from genident.generator import IndependentParams, LimitFlags
 from genident.geodesics import (
     BoundaryDiagnosis,
@@ -109,7 +110,7 @@ class TestTraceGeodesic:
         f = exp_sum_map(ts)
         x0 = np.log([1.0, 3.0])
         J = central_difference_jacobian(f, x0, 1e-5)
-        sp = spectrum(fim(J), ("th1", "th2"))
+        sp = spectrum(fim(SensitivityMatrix(J, ("th1", "th2"))), ("th1", "th2"))
         v0 = sloppiest_direction(sp.eigenvalues, sp.eigenvectors)
         tau_max = 10 * math.sqrt(sp.eigenvalues[-1])
         # both orientations end at a boundary well inside tau_max: the one
@@ -168,7 +169,7 @@ class TestSpeedConservation:
         f = exp_sum_map(ts)
         x0 = np.log([1.0, 3.0])
         J = central_difference_jacobian(f, x0, 1e-5)
-        sp = spectrum(fim(J), ("th1", "th2"))
+        sp = spectrum(fim(SensitivityMatrix(J, ("th1", "th2"))), ("th1", "th2"))
         v0 = sloppiest_direction(sp.eigenvalues, sp.eigenvectors)
         tau_max = 10 * math.sqrt(sp.eigenvalues[-1])
         tr = trace_geodesic(f, x0, v0, tau_max=tau_max)
