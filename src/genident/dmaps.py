@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import DomainError, SolverError
 
@@ -134,6 +132,9 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     seeded vector so that reruns are byte-identical; the rest take a dense
     subset solve.
     """
+    import scipy.linalg  # imported here: the analytic track and the ensemble need no scipy
+    import scipy.sparse.linalg
+
     n = A.shape[0]
     if n > 3000 and k < n // 4:
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)

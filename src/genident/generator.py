@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .dopri import solve
 from .errors import DomainError, SolverError
 
 __all__ = [
@@ -455,7 +455,9 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
 
     Every set starts from ``ics``, the six states in :data:`STATE_NAMES` order
     (None means :data:`INITIAL_STATE`), at ``t_start``.  ``rtol`` and ``atol``
-    are the RK45 tolerances and must be finite and positive.
+    are the tolerances of the Dormand–Prince 5(4) step control
+    (:mod:`genident.dopri`) and must be finite and positive.  The first step
+    is 1e-4, cut to the span when that is shorter.
 
     Sharing the step sequence keeps the members' integration errors strongly
     correlated, which is what makes finite-difference sensitivities of the
@@ -513,21 +515,19 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         start = columns(s0[..., None])
         s0[0], ddelta0 = start[0, :, 0], start[1]
 
-    def f(t, y):
+    def f(y):
         return _rhs_kernel(y.reshape(-1, n, 1), b, flags)[0].ravel()
 
-    sol = solve_ivp(f, (t_start, t_end), s0.ravel(), method="RK45", rtol=rtol, atol=atol,
-                    dense_output=True, first_step=1e-4, max_step=0.05)
-    if sol.status != 0:
-        raise SolverError(f"integration failed: {sol.message}")
+    times, dense = solve(f, t_start, s0.ravel(), t_end, rtol=rtol, atol=atol,
+                         first_step=1e-4, max_step=0.05)
 
     def evaluator(t):
-        x = columns(sol.sol(t).reshape(-1, n, len(t)))
+        x = columns(dense(t).reshape(-1, n, len(t)))
         if flags.h_zero:
             x[1] = x0[1] + (x[1] - ddelta0) / OMEGA_B
         return np.stack(x, axis=-1)
 
-    return Trajectory(sol.t.copy(), (t_start, t_end), n, evaluator)
+    return Trajectory(times, (t_start, t_end), n, evaluator)
 
 
 def integrate(p: IndependentParams, flags: LimitFlags = LimitFlags(),

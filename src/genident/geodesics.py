@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import brentq
 
+from .dopri import DormandPrince
 from .errors import ChainDivergenceError, DomainError, SolverError
 from .fim import (
     JAC_STEP,
@@ -68,7 +67,7 @@ _CHUNK_EVAL_BUDGET = 300
 VEL_RATIO = 1e3
 LOG_BOUND = 25.0
 
-#: default RK45 tolerance of trace_geodesic
+#: default step-control tolerance (rtol) of trace_geodesic
 DEFAULT_GEODESIC_RTOL = 1e-6
 
 _EPS = np.finfo(float).eps
@@ -184,9 +183,9 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
     evaluation budget has stalled: at a boundary if the speed it reached had
     risen by ``_PLATEAU_RATIO``, else a ``failure``.  Running out the
     ``tau_max`` arc budget is not a boundary; model breakdown yields a partial
-    trace marked ``failure``.  ``rtol`` is the RK45 tolerance, finite and
-    positive, and ``param_names`` (default ``p0, p1, ...``) label the trace's
-    columns.
+    trace marked ``failure``.  ``rtol`` is the relative tolerance of the
+    Dormand–Prince step control (:mod:`genident.dopri`), finite and positive,
+    and ``param_names`` (default ``p0, p1, ...``) label the trace's columns.
     """
     if not (math.isfinite(rtol) and rtol > 0):
         raise DomainError(f"geodesic rtol must be finite and positive, got {rtol!r}")
@@ -208,7 +207,7 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
 
     budget = {"left": 0}
 
-    def rhs(s, y):
+    def rhs(y):
         if budget["left"] <= 0:
             raise _ChunkStalled()
         budget["left"] -= 1
@@ -224,26 +223,30 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
     reason = "max_tau"
     detail = ""
     ds_base = s_max / 20.0
-    first_step = None
+    first_step = f_start = None
     while ss[-1] < s_max:
         s_now, y_now = ss[-1], ys[-1]
         w_norm = np.linalg.norm(y_now[n:])
         ds = min(ds_base, 1.0 / max(w_norm, 1.0), s_max - s_now)
-        budget["left"] = _CHUNK_EVAL_BUDGET
+        # a chunk after the first starts from the last stage of the one before,
+        # which still counts against this chunk's budget
+        budget["left"] = _CHUNK_EVAL_BUDGET - (f_start is not None)
         g = [ind(y_now) for ind in indicators]
         try:
-            solver = RK45(rhs, s_now, y_now, s_now + ds, rtol=rtol, atol=1e-8, max_step=ds,
-                          first_step=None if first_step is None else min(first_step, 0.5 * ds))
+            solver = DormandPrince(
+                rhs, s_now, y_now, s_now + ds, rtol=rtol, atol=1e-8, max_step=ds, f0=f_start,
+                first_step=None if first_step is None else min(first_step, 0.5 * ds))
             while solver.status == "running":
                 message = solver.step()
                 if solver.status == "failed":
-                    reason, detail = "failure", message or ""
+                    reason, detail = "failure", message
                     break
                 first_step = solver.t - solver.t_old
                 g_new = [ind(solver.y) for ind in indicators]
                 crossed = [i for i, (a, b) in enumerate(zip(g, g_new))
                            if (a <= 0 <= b) or (a >= 0 >= b)]
                 if crossed:
+                    from scipy.optimize import brentq  # only a threshold event needs scipy
                     sol = solver.dense_output()
                     s_hit = min(brentq(lambda s, i=i: indicators[i](sol(s)),
                                        solver.t_old, solver.t, xtol=4 * _EPS, rtol=4 * _EPS)
@@ -255,6 +258,7 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
                 g = g_new
                 ss.append(solver.t)
                 ys.append(solver.y)
+            f_start = solver.f
         except _ChunkStalled:
             # near a boundary the solver stops converging because the
             # acceleration is dominated by differencing noise or blows up, so
@@ -328,10 +332,11 @@ def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_
     """One reduction step: sloppiest geodesic of the flagged model at nominal, diagnosed.
 
     The geodesic launches from the spectrum of :func:`~genident.fim.sensitivities`
-    and is traced with RK45 tolerance ``rtol`` over an arc budget of ten times
-    the square root of the smallest eigenvalue, turning round once if the
-    first orientation runs that budget out.  Returns the boundary diagnosis,
-    the flag set with the diagnosed limit applied, and the trace.  A diagnosis that no limit flag can apply (a
+    and is traced with step-control tolerance ``rtol`` (:func:`trace_geodesic`)
+    over an arc budget of ten times the square root of the smallest
+    eigenvalue, turning round once if the first orientation runs that budget
+    out.  Returns the boundary diagnosis, the flag set with the diagnosed limit
+    applied, and the trace.  A diagnosis that no limit flag can apply (a
     parameter going to infinity, a parameter with no limit, or a flag set
     that fails validation) raises :class:`ChainDivergenceError`.
     """

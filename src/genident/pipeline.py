@@ -220,6 +220,7 @@ class Stage:
 
 def stage_simulate(cfg: Config, out_dir: str) -> str:
     """Nominal full-model trajectory sampled on the observation grid."""
+    cfg.grid()  # the same checks of dt and t_end as every stage that observes
     st = Stage(out_dir, "simulate", cfg)
     traj = integrate(IndependentParams.nominal(), rtol=cfg.rtol, atol=cfg.rtol, t_end=cfg.t_end)
     t = np.arange(0.0, cfg.t_end + cfg.dt / 2, cfg.dt)

@@ -5,6 +5,8 @@ import importlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,17 +183,15 @@ class TestConfig:
         assert not missing, f"demo imports the package does not define: {missing}"
 
     def test_every_parameter_is_read(self):
-        # each parameter of a module-level function or a method of a module-level
-        # class must be loaded somewhere in its body, a nested function's body
-        # included; nested functions themselves are not checked, since scipy fixes
-        # the signatures of its callbacks.  Names are matched, not bindings
+        # each parameter of every function of the package, methods and nested
+        # functions included, must be loaded somewhere in its body.  Nested ones
+        # count too: the package's own stepper calls a right-hand side as fun(y),
+        # so no outside solver fixes a callback's signature.  Names are matched,
+        # not bindings
         unread = []
         for path, tree in _parsed("src/genident/*.py"):
             where = os.path.relpath(path, ROOT)
-            functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-            for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
-                functions += [m for m in cls.body if isinstance(m, ast.FunctionDef)]
-            for fn in functions:
+            for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
                 a = fn.args
                 params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
                                           a.vararg, a.kwarg)
@@ -262,8 +262,10 @@ class TestCliStages:
         ("gh-fit", "split_seed = -1", []),
         ("gh-fit", "train_frac = 1.0", []),
         ("gh-fit", "gh_delta = 1.0", []),
+        ("simulate", "dt = 0.0", []),
+        ("simulate", "dt = -0.02", []),
     ], ids=["seed", "residual_max_k", "residual_bandwidth_mult", "split_seed",
-            "train_frac", "gh_delta"])
+            "train_frac", "gh_delta", "dt-zero", "dt-negative"])
     def test_out_of_range_value_exits_2(self, small_run, tmp_path, capsys, stage, line, argv):
         # each fails as a precondition at the first stage that reads it: not with a
         # traceback, a singular solve, NaN errors or a model with no basis
@@ -283,8 +285,8 @@ class TestCliStages:
         (["geodesic"], "geo_rtol = 0.0"),
     ], ids=["simulate-zero", "simulate-negative", "ensemble-zero", "geodesic-zero"])
     def test_tolerance_not_positive_exits_2(self, tmp_path, capsys, stages, line):
-        # scipy would raise a zero rtol to 2.2e-14 with a warning the CLI drops, and
-        # reject a negative one with a bare ValueError; a zero geodesic rtol stalled
+        # the stepper, as scipy's RK45, would silently raise a zero or negative rtol
+        # to 100 machine epsilons; a zero geodesic rtol stalled
         cfg = tmp_path / "tol.cfg"
         cfg.write_text("n_samples = 8\n" + line + "\n")
         out = str(tmp_path / "run")
@@ -359,3 +361,31 @@ class TestCliStages:
         with pytest.raises(ChainDivergenceError):
             pipeline.stage_mbam(cfg, str(tmp_path))
         assert calls == [{"rtol": 1e-3}]
+
+
+def test_cli_and_analytic_track_load_no_scipy_submodule():
+    # in a fresh interpreter: the CLI, the model map, a sensitivity Jacobian and
+    # a geodesic contraction load no scipy submodule; the bare scipy import for
+    # the manifest's version stamp is allowed.  Eigensolves and geodesic
+    # threshold events import what they need when they run
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import genident.cli",
+        "from genident.fim import generator_map, sensitivities",
+        "from genident.generator import IndependentParams, LimitFlags, integrate",
+        "from genident.geodesics import contraction_for_map",
+        "p = IndependentParams.nominal()",
+        "integrate(p)",
+        "sensitivities(p, LimitFlags.first(2))",
+        "contraction_for_map(generator_map(LimitFlags()), np.log(p.to_array()), np.ones(11))",
+        "print(' '.join(sorted(sys.modules)))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "scipy" in loaded  # the version stamp; the check below is not vacuous
+    heavy = [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize",
+                                                 "scipy.linalg", "scipy.sparse"))]
+    assert not heavy, f"scipy submodules loaded: {heavy}"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from genident import geodesics
 from genident.errors import ChainDivergenceError, DomainError
 from genident.fim import (SensitivityMatrix, central_difference_jacobian, fim, generator_map,
                           spectrum)
@@ -131,6 +132,38 @@ class TestTraceGeodesic:
         th1, th2 = np.exp(other.thetas[-1])
         assert abs(th1 / th2 - 1.0) < 0.1
 
+    def test_reused_chunk_start_still_counts_against_the_budget(self, monkeypatch):
+        # each chunk after the first starts from the last right-hand side value of
+        # the one before, equal to a fresh evaluation; the chunk that stalls
+        # against the metric floor makes one fresh evaluation fewer than its budget
+        ts = np.array([0.25, 0.75, 1.5, 3.0])
+        base = exp_sum_map(ts)
+        calls, starts = [0], []
+
+        def f(x):
+            calls[0] += 1
+            return base(x)
+
+        class Recording(geodesics.DormandPrince):
+            def __init__(self, fun, t0, y0, t_bound, **options):
+                starts.append(calls[0])
+                if options["f0"] is not None:
+                    w = y0[2:]
+                    np.testing.assert_array_equal(
+                        options["f0"], np.concatenate([w, -contraction_for_map(base, y0[:2], w)]))
+                super().__init__(fun, t0, y0, t_bound, **options)
+
+        monkeypatch.setattr(geodesics, "DormandPrince", Recording)
+        x0 = np.log([1.0, 3.0])
+        J = central_difference_jacobian(base, x0, 1e-5)
+        sp = spectrum(fim(SensitivityMatrix(J, ("th1", "th2"))), ("th1", "th2"))
+        v0 = sloppiest_direction(sp.eigenvalues, sp.eigenvectors)
+        up = v0 if v0[1] > 0 else -v0
+        tr = trace_geodesic(f, x0, up, tau_max=10 * math.sqrt(sp.eigenvalues[-1]))
+        assert tr.detail == "velocity growth stalled against the metric floor"
+        per_chunk = np.diff(starts + calls)
+        assert len(per_chunk) > 2 and per_chunk[-1] == geodesics._CHUNK_EVAL_BUDGET - 1
+
     def test_taus_strictly_increasing_invariant(self):
         with pytest.raises(DomainError):
             GeodesicTrace(np.array([0.0, 0.0]), np.zeros((2, 2)), np.zeros((2, 2)),
@@ -193,8 +226,6 @@ class TestMbamStep:
 
     @pytest.fixture()
     def diagnosed(self, monkeypatch):
-        from genident import geodesics
-
         def trace(f, theta, velocity, *, param_names, **options):
             return GeodesicTrace(np.array([0.0, 1.0]), np.tile(theta, (2, 1)),
                                  np.tile(velocity, (2, 1)), "boundary", param_names)
@@ -226,7 +257,6 @@ class TestMbamStep:
 
 class TestMbamChain:
     def test_divergence_record_keeps_finished_stages(self, monkeypatch):
-        from genident import geodesics
         from genident.geodesics import mbam_chain
         names = LimitFlags().active_params()
         trace = GeodesicTrace(np.array([0.0, 1.0]), np.zeros((2, len(names))),
