@@ -15,13 +15,8 @@ The ladder re-solves many geodesics; expect roughly ten minutes.
 
 import numpy as np
 
-from genident.generator import (
-    IndependentParams,
-    LimitFlags,
-    STATE_NAMES,
-    integrate,
-)
 from genident.geodesics import mbam_chain
+from genident.pipeline import Config, full_vs_reduced
 
 chain = mbam_chain()
 print("reduction ladder:")
@@ -36,14 +31,7 @@ for e in chain:
           f"(tau_b={e['tau_boundary']:.2e}, alignment={e['velocity_alignment']:.2f})")
 
 # fidelity of the final reduced model, restarted from the full state at t=3
-nom = IndependentParams.nominal()
-full = integrate(nom)
-red = integrate(nom, LimitFlags.all(), ics=full.at([3.0])[0, 0],
-                t_end=5.0, t_start=3.0)
-t = np.linspace(3.0, 5.0, 401)
-sf = full.at(t)[0]
-sr = red.at(t)[0]
+_, _, rel = full_vs_reduced(Config(), np.linspace(3.0, 5.0, 401))
 print("\nfull vs reduced on [3, 5], max deviation relative to signal size:")
-for i, name in enumerate(STATE_NAMES):
-    rel = np.max(np.abs(sf[:, i] - sr[:, i])) / np.max(np.abs(sf[:, i]))
-    print(f"  {name:6s} {100 * rel:5.2f}%")
+for name, dev in rel.items():
+    print(f"  {name:6s} {100 * dev:5.2f}%")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ChainDivergenceError, DomainError, SolverError
 from .pipeline import (
-    PIPELINE_ORDER,
+    STAGES,
     Config,
     load_config,
     read_csv,
@@ -24,8 +24,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 EXIT_DISAGREEMENT = 4
-
-_STAGE_COMMANDS = [*PIPELINE_ORDER, "pipeline"]
 
 #: ensemble size of the paper's protocol, which ``--paper-scale`` selects
 PAPER_SCALE_SAMPLES = 10000
@@ -47,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"use the full {PAPER_SCALE_SAMPLES}-sample protocol")
         p.add_argument("--svg", action="store_true", help="emit SVG plots")
 
-    for name in _STAGE_COMMANDS:
+    for name in [*STAGES, "pipeline"]:
         p = sub.add_parser(name, help=f"run the {name} stage")
         common(p)
         if name == "compare":

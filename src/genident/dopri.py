@@ -12,14 +12,15 @@ forward in time, so the tableau's stage times are not needed.
 
 from __future__ import annotations
 
+import math
 from itertools import groupby
 from typing import Callable
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import DomainError, SolverError
 
-__all__ = ["DormandPrince", "TOO_SMALL_STEP", "solve"]
+__all__ = ["DormandPrince", "MIN_RTOL", "TOO_SMALL_STEP", "check_rtol", "solve"]
 
 # the tableau: stage coefficients (row s combines stages 0..s-1), the fifth-order
 # weights, the error weights (fifth minus embedded fourth order) and the
@@ -50,6 +51,18 @@ _ERROR_EXPONENT = -1 / 5
 #: the message of a step that shrank below ten float spacings of the time
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
+#: the smallest relative tolerance the step control takes: 100 machine epsilons,
+#: below which scipy's RK45 would silently raise it
+MIN_RTOL = 100 * np.finfo(float).eps
+
+
+def check_rtol(rtol: float, what: str) -> None:
+    """Raise :class:`DomainError`, naming ``what``, unless ``rtol`` is finite
+    and at least :data:`MIN_RTOL`."""
+    if not (math.isfinite(rtol) and rtol >= MIN_RTOL):
+        raise DomainError(f"{what} must be finite and positive, and at least "
+                          f"{MIN_RTOL:.3g}, got {rtol!r}")
+
 
 def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
@@ -58,19 +71,18 @@ def _rms(x: np.ndarray) -> float:
 class DormandPrince:
     """One forward integration of ``fun(y)`` from ``y0`` at ``t0`` towards ``t_bound``.
 
-    ``rtol`` below 100 machine epsilons is raised to it.  A ``first_step`` of
-    None is chosen from ``fun`` (one extra evaluation); any step, the first
-    included, is cut to end at ``t_bound``.  ``f0``, when given, is ``fun(y0)``
-    already evaluated.  :meth:`step` advances one accepted step and sets
-    ``status`` to "finished" at ``t_bound`` or "failed".
+    ``rtol`` is taken as given; callers hold it to :func:`check_rtol`.  A
+    ``first_step`` of None is chosen from ``fun`` (one extra evaluation); any
+    step, the first included, is cut to end at ``t_bound``.  ``f0``, when
+    given, is ``fun(y0)`` already evaluated.  :meth:`step` advances one
+    accepted step and sets ``status`` to "finished" at ``t_bound`` or "failed".
     """
 
     def __init__(self, fun: Callable[[np.ndarray], np.ndarray], t0: float, y0: np.ndarray,
                  t_bound: float, *, rtol: float, atol: float, max_step: float,
                  first_step: float | None = None, f0: np.ndarray | None = None):
         self.fun, self.t, self.y, self.t_bound = fun, t0, y0, t_bound
-        self.rtol = max(rtol, 100 * np.finfo(float).eps)
-        self.atol, self.max_step = atol, max_step
+        self.rtol, self.atol, self.max_step = rtol, atol, max_step
         self.f = fun(y0) if f0 is None else f0
         self.h_abs = self._initial_step() if first_step is None else first_step
         self.K = np.empty((len(_E), y0.size))

@@ -9,6 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .dopri import check_rtol
 from .errors import DomainError, SolverError
 from .fim import DEFAULT_CUTOFF, InfoSpectrum, effective_dimension
 from .generator import (
@@ -111,11 +112,10 @@ def run_ensemble(params: np.ndarray, grid: ObservationGrid = DEFAULT_GRID,
     Rows are integrated in fixed-size shared-step chunks, so the result is
     identical for any worker count; failed rows are dropped with a warning and
     more than ``max_failure_frac`` failures aborts the run.  ``rtol``, the
-    solver tolerance of every row, must be finite and positive: it is checked
-    here, since a row that fails is retried and then dropped.
+    solver tolerance of every row, must pass :func:`~genident.dopri.check_rtol`:
+    it is checked here, since a row that fails is retried and then dropped.
     """
-    if not (np.isfinite(rtol) and rtol > 0):
-        raise DomainError(f"rtol must be finite and positive, got {rtol!r}")
+    check_rtol(rtol, "rtol")
     params = np.atleast_2d(np.asarray(params, dtype=float))
     n = params.shape[0]
     tasks = [(lo, params[lo:lo + _CHUNK], grid, rtol)

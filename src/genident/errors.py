@@ -8,11 +8,6 @@ class DomainError(ValueError):
 class SolverError(RuntimeError):
     """A numerical procedure failed to converge or broke down."""
 
-    def __init__(self, message, *, residual=None, condition_number=None):
-        super().__init__(message)
-        self.residual = residual
-        self.condition_number = condition_number
-
 
 class ChainDivergenceError(RuntimeError):
     """A reduction step diagnosed a boundary that no limit flag can apply.

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dopri import solve
+from .dopri import check_rtol, solve
 from .errors import DomainError, SolverError
 
 __all__ = [
@@ -377,9 +377,7 @@ def solve_power_angle(rest: np.ndarray, b, guess=None) -> np.ndarray:
 
     r_lo, r_hi = residual(bracket[0])[0], residual(bracket[1])[0]
     if (r_lo * r_hi > 0).any():
-        bad = float(np.min(np.minimum(np.abs(r_lo), np.abs(r_hi))[r_lo * r_hi > 0]))
-        raise SolverError("power balance has no root on the operating branch",
-                          residual=bad)
+        raise SolverError("power balance has no root on the operating branch")
     lo, hi = bracket  # views
     delta = (np.full(shape, 0.8) if guess is None
              else np.asarray(guess, dtype=float)).clip(lo, hi)
@@ -402,8 +400,7 @@ def solve_power_angle(rest: np.ndarray, b, guess=None) -> np.ndarray:
         np.copyto(nxt, delta, where=conv)
         delta = nxt
         r, dr = residual(delta)
-    raise SolverError("power-angle Newton failed to converge",
-                      residual=float(np.max(np.abs(r))))
+    raise SolverError("power-angle Newton failed to converge")
 
 
 def rhs(s: Sequence[float], p: IndependentParams, flags: LimitFlags = LimitFlags()):
@@ -442,7 +439,9 @@ class Trajectory:
     def at(self, times) -> np.ndarray:
         """States at arbitrary times within the span; shape (n_sets, len(times), 6)."""
         t = np.atleast_1d(np.asarray(times, dtype=float))
-        if t.size and (t.min() < self.t_span[0] - 1e-9 or t.max() > self.t_span[1] + 1e-9):
+        if not t.size:
+            return np.empty((self.n_sets, 0, len(STATE_NAMES)))
+        if t.min() < self.t_span[0] - 1e-9 or t.max() > self.t_span[1] + 1e-9:
             raise DomainError(
                 f"requested times outside trajectory span {self.t_span}")
         return self._evaluator(t)
@@ -456,7 +455,8 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     Every set starts from ``ics``, the six states in :data:`STATE_NAMES` order
     (None means :data:`INITIAL_STATE`), at ``t_start``.  ``rtol`` and ``atol``
     are the tolerances of the Dormand–Prince 5(4) step control
-    (:mod:`genident.dopri`) and must be finite and positive.  The first step
+    (:mod:`genident.dopri`); both must be finite and positive, and ``rtol``
+    at least :data:`~genident.dopri.MIN_RTOL`.  The first step
     is 1e-4, cut to the span when that is shorter.
 
     Sharing the step sequence keeps the members' integration errors strongly
@@ -480,8 +480,9 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         raise DomainError(f"ics must hold {len(STATE_NAMES)} finite states, got {ics!r}")
     if t_end < t_start:
         raise DomainError("t_end must be >= t_start")
-    if not all(math.isfinite(tol) and tol > 0 for tol in (rtol, atol)):
-        raise DomainError(f"rtol and atol must be finite and positive, got {rtol!r}, {atol!r}")
+    check_rtol(rtol, "rtol")
+    if not (math.isfinite(atol) and atol > 0):
+        raise DomainError(f"atol must be finite and positive, got {atol!r}")
     b = _bare_arrays(params, flags)
 
     if t_end == t_start:

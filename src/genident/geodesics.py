@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dopri import DormandPrince
+from .dopri import DormandPrince, check_rtol
 from .errors import ChainDivergenceError, DomainError, SolverError
 from .fim import (
     JAC_STEP,
@@ -115,7 +115,7 @@ def _floored_inverse_apply(I: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     lam, U = np.linalg.eigh(I)
     lam_max = lam[-1]
     if not np.isfinite(lam_max) or lam_max <= 0:
-        raise SolverError("metric is not positive", condition_number=float("inf"))
+        raise SolverError("metric is not positive")
     lam_f = np.maximum(lam, METRIC_FLOOR * lam_max)
     return U @ ((U.T @ rhs) / lam_f)
 
@@ -184,11 +184,11 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
     risen by ``_PLATEAU_RATIO``, else a ``failure``.  Running out the
     ``tau_max`` arc budget is not a boundary; model breakdown yields a partial
     trace marked ``failure``.  ``rtol`` is the relative tolerance of the
-    Dormand–Prince step control (:mod:`genident.dopri`), finite and positive,
-    and ``param_names`` (default ``p0, p1, ...``) label the trace's columns.
+    Dormand–Prince step control (:mod:`genident.dopri`), held to
+    :func:`~genident.dopri.check_rtol`, and ``param_names`` (default ``p0, p1,
+    ...``) label the trace's columns.
     """
-    if not (math.isfinite(rtol) and rtol > 0):
-        raise DomainError(f"geodesic rtol must be finite and positive, got {rtol!r}")
+    check_rtol(rtol, "geodesic rtol")
     theta0 = np.asarray(theta, dtype=float)
     v0 = np.asarray(velocity, dtype=float)
     n = theta0.size
@@ -405,9 +405,7 @@ def mbam_chain(grid: ObservationGrid = DEFAULT_GRID, *,
         if diag is None:
             entry.update(limit_param=None, direction=None)
         else:
-            entry.update(limit_param=diag.limit_param, direction=diag.direction,
-                         tau_boundary=diag.tau_boundary,
-                         velocity_alignment=diag.velocity_alignment)
+            entry.update(asdict(diag))
         entry["wall_clock_s"] = round(time.monotonic() - t0, 3)
         if trace is not None:
             entry["trace"] = trace

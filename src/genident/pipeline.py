@@ -1,9 +1,11 @@
 """File-based pipeline stages: every analysis step reads and writes run-directory
 artifacts so the two tracks can execute independently and be diffed.
 
-Each stage appends a manifest entry (config snapshot, seeds, output files with
-content hashes, wall-clock) before returning; artifacts from earlier stages
-are never rewritten by later ones.
+A stage is a function of the config and its open :class:`Stage`, listed once in
+:data:`STAGES`; :func:`run_stage` opens the stage under that name, runs it and
+appends its manifest entry (config snapshot, seeds, output files with content
+hashes, wall-clock).  Artifacts from earlier stages are never rewritten by
+later ones.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .harmonics import (DEFAULT_DELTA, DEFAULT_RETAIN, GHModel, JacobianReport, 
                         gh_predict, jacobian_report)
 
 __all__ = ["Config", "Stage", "load_config", "run_stage", "STAGES", "write_csv",
-           "embed_outputs", "select_coordinates", "GHTrack", "fit_gh_track",
-           "square_ift_reports"]
+           "full_vs_reduced", "embed_outputs", "select_coordinates", "GHTrack",
+           "fit_gh_track", "square_ift_reports"]
 
 
 @dataclass(frozen=True)
@@ -218,31 +220,24 @@ class Stage:
 # stages
 # ---------------------------------------------------------------------------
 
-def stage_simulate(cfg: Config, out_dir: str) -> str:
-    """Nominal full-model trajectory sampled on the observation grid."""
-    cfg.grid()  # the same checks of dt and t_end as every stage that observes
-    st = Stage(out_dir, "simulate", cfg)
+def stage_simulate(cfg: Config, st: Stage) -> str:
+    """Nominal full-model trajectory from t = 0, sampled every ``dt`` up to ``t_end``."""
+    t = ObservationGrid(0.0, cfg.t_end, cfg.dt).times()
     traj = integrate(IndependentParams.nominal(), rtol=cfg.rtol, atol=cfg.rtol, t_end=cfg.t_end)
-    t = np.arange(0.0, cfg.t_end + cfg.dt / 2, cfg.dt)
-    states = traj.at(t)[0]
     path = st.path("trajectory.csv")
-    write_csv(path, ["t", *STATE_NAMES], np.column_stack([t, states]))
-    st.finish()
+    write_csv(path, ["t", *STATE_NAMES], np.column_stack([t, traj.at(t)[0]]))
     return path
 
 
-def stage_sample(cfg: Config, out_dir: str) -> str:
-    st = Stage(out_dir, "sample", cfg)
+def stage_sample(cfg: Config, st: Stage) -> str:
     params = sample_ensemble(cfg.n_samples, cfg.perturbation, cfg.seed)
     path = st.path("ensemble_params.csv")
     write_csv(path, list(PARAM_NAMES), params)
-    st.finish()
     return path
 
 
-def stage_ensemble(cfg: Config, out_dir: str) -> str:
-    st = Stage(out_dir, "ensemble", cfg)
-    _, params = read_csv(os.path.join(out_dir, "ensemble_params.csv"))
+def stage_ensemble(cfg: Config, st: Stage) -> str:
+    _, params = read_csv(os.path.join(st.out_dir, "ensemble_params.csv"))
     run = run_ensemble(params, cfg.grid(), workers=cfg.workers, rtol=cfg.rtol)
     path = st.path("ensemble_outputs.csv")
     write_csv(path, [f"y{i}" for i in range(run.outputs.shape[1])], run.outputs,
@@ -250,14 +245,12 @@ def stage_ensemble(cfg: Config, out_dir: str) -> str:
     idx_path = st.path("ensemble_rows.csv")
     write_csv(idx_path, ["row"], run.row_indices[:, None], fmt="%d")
     st.extra["failures"] = list(run.failures)
-    st.finish()
     return path
 
 
-def stage_fim(cfg: Config, out_dir: str):
+def stage_fim(cfg: Config, st: Stage):
     """Information spectrum of the full model at nominal (eigenvalues, signed
     modes and their participation), with its participation heatmap."""
-    st = Stage(out_dir, "fim", cfg)
     S = sensitivities(IndependentParams.nominal(), grid=cfg.grid())
     sp = spectrum(fim(S), S.param_names)
     part = sp.participation
@@ -282,7 +275,6 @@ def stage_fim(cfg: Config, out_dir: str):
         line_plot(st.path("spectrum.svg"), np.arange(1, n + 1),
                   {"eigenvalue": sp.eigenvalues}, title="Information spectrum",
                   xlabel="mode", ylabel="eigenvalue", logy=True, markers=True)
-    st.finish()
     return sp
 
 
@@ -294,31 +286,23 @@ def _write_trace(path: str, trace) -> None:
     write_csv(path, header, np.column_stack([trace.taus, trace.thetas, trace.velocities]))
 
 
-def stage_geodesic(cfg: Config, out_dir: str):
+def stage_geodesic(cfg: Config, st: Stage):
     """Sloppiest-direction geodesic of the full model plus its diagnosis."""
-    st = Stage(out_dir, "geodesic", cfg)
     diag, _, trace = mbam_step(LimitFlags(), cfg.grid(), rtol=cfg.geo_rtol)
     _write_trace(st.path("geodesic_trace.csv"), trace)
     write_json(st.path("geodesic_diagnosis.json"), {
-        "limit_param": diag.limit_param,
-        "direction": diag.direction,
-        "tau_boundary": diag.tau_boundary,
-        "velocity_alignment": diag.velocity_alignment,
-        "terminated": trace.terminated,
-        "param_names": list(trace.param_names),
-    })
+        **asdict(diag), "terminated": trace.terminated,
+        "param_names": list(trace.param_names)})
     if cfg.svg:
         from .svgplot import line_plot
         line_plot(st.path("geodesic_trace.svg"), trace.taus,
                   {nm: trace.thetas[:, i] for i, nm in enumerate(trace.param_names)},
                   title="Geodesic in log-parameters", xlabel="tau", ylabel="log theta")
-    st.finish()
     return diag
 
 
-def stage_mbam(cfg: Config, out_dir: str):
+def stage_mbam(cfg: Config, st: Stage):
     """The reduction ladder; a diverging stage is written, then raised."""
-    st = Stage(out_dir, "mbam", cfg)
     chain = mbam_chain(cfg.grid(), rtol=cfg.geo_rtol)
     for entry in chain:
         trace = entry.pop("trace", None)
@@ -327,7 +311,6 @@ def stage_mbam(cfg: Config, out_dir: str):
         _write_trace(st.path(f"mbam_trace_{entry['from_params']}params.csv"), trace)
         entry["param_names"] = list(trace.param_names)
     write_json(st.path("mbam_chain.json"), chain)
-    st.finish()
     last = chain[-1]
     if "divergence" in last:
         raise ChainDivergenceError(f"reduction ladder stopped at "
@@ -335,28 +318,18 @@ def stage_mbam(cfg: Config, out_dir: str):
     return chain
 
 
-def stage_reduced_compare(cfg: Config, out_dir: str):
+def stage_reduced_compare(cfg: Config, st: Stage):
     """Full vs fully reduced dynamics over the observation window."""
-    st = Stage(out_dir, "reduced-compare", cfg)
-    full = integrate(IndependentParams.nominal(), rtol=cfg.rtol, atol=cfg.rtol, t_end=cfg.t_end)
-    ics = full.at([cfg.t_start])[0, 0]
-    red = integrate(IndependentParams.nominal(), LimitFlags.all(), ics=ics,
-                    t_end=cfg.t_end, t_start=cfg.t_start, rtol=cfg.rtol, atol=cfg.rtol)
     t = cfg.grid().times()
-    sf = full.at(t)[0]
-    sr = red.at(t)[0]
+    sf, sr, rel = full_vs_reduced(cfg, t)
     header = ["t"] + [f"{nm}_full" for nm in STATE_NAMES] + [f"{nm}_reduced" for nm in STATE_NAMES]
     write_csv(st.path("reduced_compare.csv"), header, np.column_stack([t, sf, sr]))
-    rel = {nm: float(np.max(np.abs(sf[:, i] - sr[:, i])) / np.max(np.abs(sf[:, i])))
-           for i, nm in enumerate(STATE_NAMES)}
     write_json(st.path("reduced_compare.json"), {"max_relative_deviation": rel})
-    st.finish()
     return rel
 
 
-def stage_dmaps(cfg: Config, out_dir: str):
-    st = Stage(out_dir, "dmaps", cfg)
-    _, outputs = read_csv(os.path.join(out_dir, "ensemble_outputs.csv"))
+def stage_dmaps(cfg: Config, st: Stage):
+    _, outputs = read_csv(os.path.join(st.out_dir, "ensemble_outputs.csv"))
     emb = embed_outputs(outputs, cfg)
     write_csv(st.path("dmaps_eigenvalues.csv"), ["index", "eigenvalue"],
               np.column_stack([np.arange(cfg.dmaps_k), emb.eigenvalues]))
@@ -365,14 +338,12 @@ def stage_dmaps(cfg: Config, out_dir: str):
               np.column_stack([np.arange(emb.eigenvectors.shape[0]),
                                emb.eigenvectors[:, 1:]]))
     st.extra["epsilon"] = emb.epsilon
-    st.finish()
     return emb
 
 
-def stage_residuals(cfg: Config, out_dir: str):
-    st = Stage(out_dir, "residuals", cfg)
+def stage_residuals(cfg: Config, st: Stage):
     # column k of embedding.csv is phi_k; column 0, the sample id, is not read
-    _, phi = read_csv(os.path.join(out_dir, "embedding.csv"))
+    _, phi = read_csv(os.path.join(st.out_dir, "embedding.csv"))
     rep, sel = select_coordinates(phi, cfg)
     write_csv(st.path("residuals.csv"), ["eigenvector", "residual"],
               np.column_stack([np.asarray(rep.indices, dtype=float), rep.residuals]))
@@ -392,7 +363,6 @@ def stage_residuals(cfg: Config, out_dir: str):
         line_plot(st.path("residuals.svg"), np.asarray(rep.indices, dtype=float),
                   {"residual": rep.residuals}, title="Local-linear regression residuals",
                   xlabel="eigenvector index", ylabel="r_k", markers=True)
-    st.finish()
     return sel
 
 
@@ -434,6 +404,24 @@ def gh_model_from_json(obj) -> GHModel:
         target_names=tuple(obj.get("target_names") or ()) or None,
         target_ndim=int(obj.get("target_ndim", 2)),
     )
+
+
+def full_vs_reduced(cfg: Config, times) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+    """Nominal full and fully reduced states at ``times``, and how far they part.
+
+    The full model runs from its initial state to ``cfg.t_end``; the model with
+    every limit applied restarts from the full state at ``cfg.t_start``.  Both
+    come back as (len(times), 6) states, with each state's largest deviation
+    relative to the largest magnitude of its full signal.
+    """
+    nominal = IndependentParams.nominal()
+    full = integrate(nominal, rtol=cfg.rtol, atol=cfg.rtol, t_end=cfg.t_end)
+    red = integrate(nominal, LimitFlags.all(), ics=full.at([cfg.t_start])[0, 0],
+                    t_end=cfg.t_end, t_start=cfg.t_start, rtol=cfg.rtol, atol=cfg.rtol)
+    sf, sr = full.at(times)[0], red.at(times)[0]
+    rel = {nm: float(np.max(np.abs(sf[:, i] - sr[:, i])) / np.max(np.abs(sf[:, i])))
+           for i, nm in enumerate(STATE_NAMES)}
+    return sf, sr, rel
 
 
 def embed_outputs(outputs: np.ndarray, cfg: Config) -> DMapsEmbedding:
@@ -531,11 +519,10 @@ def _selected_data(out_dir: str, selected) -> tuple[np.ndarray, np.ndarray]:
     return params[rows[:, 0].astype(int)], emb_data[:, list(selected)]
 
 
-def stage_gh(cfg: Config, out_dir: str):
+def stage_gh(cfg: Config, st: Stage):
     """Fit both regression directions and report per-parameter test errors."""
-    st = Stage(out_dir, "gh-fit", cfg)
-    sel = read_json(os.path.join(out_dir, "residuals.json"))["selected"]
-    track = fit_gh_track(*_selected_data(out_dir, sel), sel, cfg)
+    sel = read_json(os.path.join(st.out_dir, "residuals.json"))["selected"]
+    track = fit_gh_track(*_selected_data(st.out_dir, sel), sel, cfg)
     write_json(st.path("gh_forward.json"),
                _gh_model_json(track.forward, sel, track.train, track.test))
     write_json(st.path("gh_inverse.json"),
@@ -545,16 +532,14 @@ def stage_gh(cfg: Config, out_dir: str):
     write_csv(st.path("gh_test_predictions.csv"),
               [f"pred_{nm}" for nm in PARAM_NAMES] + [f"true_{nm}" for nm in PARAM_NAMES],
               np.column_stack([track.predictions, track.params01[track.test]]))
-    st.finish()
     return track.forward_mae
 
 
-def stage_ift(cfg: Config, out_dir: str):
+def stage_ift(cfg: Config, st: Stage):
     """Jacobian-determinant (local bijectivity) checks in both directions."""
-    st = Stage(out_dir, "ift", cfg)
-    fwd_obj = read_json(os.path.join(out_dir, "gh_forward.json"))
-    mae = read_json(os.path.join(out_dir, "gh_mae.json"))["forward_mae"]
-    params, coords = _selected_data(out_dir, fwd_obj["selected_coordinates"])
+    fwd_obj = read_json(os.path.join(st.out_dir, "gh_forward.json"))
+    mae = read_json(os.path.join(st.out_dir, "gh_mae.json"))["forward_mae"]
+    params, coords = _selected_data(st.out_dir, fwd_obj["selected_coordinates"])
     identifiable, rep_fwd, rep_inv = square_ift_reports(
         gh_model_from_json(fwd_obj), mae, rescale01(params), rescale01(coords),
         np.asarray(fwd_obj["train_rows"], dtype=int),
@@ -575,23 +560,20 @@ def stage_ift(cfg: Config, out_dir: str):
                   title="det J (coords -> params)", xlabel="determinant")
         histogram(st.path("ift_inverse.svg"), rep_inv.determinants,
                   title="det J (params -> coords)", xlabel="determinant")
-    st.finish()
     return out
 
 
-def stage_compare(cfg: Config, out_dir: str):
-    st = Stage(out_dir, "compare", cfg)
-    spec_obj = read_json(os.path.join(out_dir, "spectrum.json"))
+def stage_compare(cfg: Config, st: Stage):
+    spec_obj = read_json(os.path.join(st.out_dir, "spectrum.json"))
     if "eigenvectors" not in spec_obj:
         raise DomainError("spectrum.json holds no eigenvectors; rerun the fim stage")
     sp = InfoSpectrum(np.asarray(spec_obj["eigenvalues"], dtype=float),
                       np.asarray(spec_obj["eigenvectors"], dtype=float), tuple(spec_obj["names"]))
-    sel = read_json(os.path.join(out_dir, "residuals.json"))["selected"]
-    mae = read_json(os.path.join(out_dir, "gh_mae.json"))["forward_mae"]
+    sel = read_json(os.path.join(st.out_dir, "residuals.json"))["selected"]
+    mae = read_json(os.path.join(st.out_dir, "gh_mae.json"))["forward_mae"]
     report = compare_tracks(sp, len(sel), mae, cutoff=cfg.fim_cutoff,
                             projection_threshold=cfg.projection_threshold)
     write_json(st.path("comparison.json"), report.to_dict())
-    st.finish()
     return report
 
 
@@ -610,15 +592,29 @@ STAGES = {
     "compare": stage_compare,
 }
 
-PIPELINE_ORDER = list(STAGES)
-
 
 def run_stage(name: str, cfg: Config, out_dir: str):
+    """Run the stage ``name`` into ``out_dir`` and return what its function returns.
+
+    The stage opens as a :class:`Stage` under its :data:`STAGES` key and its
+    manifest entry is appended once the function returns; a stage that raised
+    appends none, except the ladder's written record of where it diverged.
+    ``"pipeline"`` runs every stage in :data:`STAGES` order and returns the
+    last one's result.
+    """
     if name == "pipeline":
         result = None
-        for stage_name in PIPELINE_ORDER:
-            result = STAGES[stage_name](cfg, out_dir)
+        for stage_name in STAGES:
+            result = run_stage(stage_name, cfg, out_dir)
         return result
     if name not in STAGES:
         raise DomainError(f"unknown stage {name!r}")
-    return STAGES[name](cfg, out_dir)
+    st = Stage(out_dir, name, cfg)
+    try:
+        result = STAGES[name](cfg, st)
+    except ChainDivergenceError:
+        if st.files:
+            st.finish()
+        raise
+    st.finish()
+    return result

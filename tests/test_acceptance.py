@@ -10,12 +10,8 @@ import time
 
 import numpy as np
 
-from genident.generator import (
-    IndependentParams,
-    LimitFlags,
-    STATE_NAMES,
-    integrate,
-)
+from genident.generator import IndependentParams, LimitFlags
+from genident.pipeline import Config, full_vs_reduced
 
 NOM = IndependentParams.nominal()
 IDENTIFIABLE = ("dx2", "dx3", "dx4", "xdpp", "dTd", "dTq")
@@ -86,14 +82,8 @@ class TestCriterion5MbamChain:
 
 
 class TestCriterion6ReducedFidelity:
-    def test_reduced_tracks_full_model(self, nominal_trajectory):
-        ics = nominal_trajectory.at([3.0])[0, 0]
-        red = integrate(NOM, LimitFlags.all(), ics=ics, t_end=5.0, t_start=3.0)
-        tt = np.linspace(3.0, 5.0, 401)
-        sf = nominal_trajectory.at(tt)[0]
-        sr = red.at(tt)[0]
-        rel = {nm: float(np.max(np.abs(sf[:, i] - sr[:, i])) / np.max(np.abs(sf[:, i])))
-               for i, nm in enumerate(STATE_NAMES)}
+    def test_reduced_tracks_full_model(self):
+        _, _, rel = full_vs_reduced(Config(), np.linspace(3.0, 5.0, 401))
         ok = all(rel[nm] <= 0.05 for nm in ("delta", "omega", "eq1", "ed1")) and \
             all(rel[nm] <= 0.15 for nm in ("eq2", "ed2"))
         _report(6, ok, "max rel dev: " + ", ".join(f"{k}={v:.3f}" for k, v in rel.items()))

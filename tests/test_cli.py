@@ -229,8 +229,22 @@ class TestCliStages:
         assert main(["residuals", "--config", tiny_cfg, "--out", out]) == 0
         report = json.load(open(os.path.join(out, "residuals.json")))
         manifest = json.load(open(os.path.join(out, "manifest.json")))
-        entry = next(s for s in manifest["stages"] if s["stage"] == "residuals")
+        # one entry per stage run, named by its STAGES key
+        assert ([s["stage"] for s in manifest["stages"]]
+                == ["sample", "ensemble", "fim", "dmaps", "residuals"])
+        entry = manifest["stages"][-1]
         assert entry["ridge_fallbacks"] == report["ridge_fallbacks"] >= 0
+        parser = cli._build_parser()
+        assert [parser.parse_args([name]).command for name in pipeline.STAGES] \
+            == list(pipeline.STAGES)
+
+    def test_simulate_takes_a_dt_that_does_not_divide_t_end(self, tmp_path):
+        cfg = tmp_path / "dt.cfg"
+        cfg.write_text("dt = 0.03\n")
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == 0
+        _, data = read_csv(os.path.join(out, "trajectory.csv"))
+        assert data[-1, 0] <= 5.0 and data.shape[0] == 167
 
     def test_rerun_is_byte_identical(self, tmp_path, tiny_cfg):
         out = str(tmp_path / "run")
@@ -281,12 +295,17 @@ class TestCliStages:
     @pytest.mark.parametrize("stages, line", [
         (["simulate"], "rtol = 0"),
         (["simulate"], "rtol = -1e-7"),
+        (["simulate"], "rtol = 1e-15"),
         (["sample", "ensemble"], "rtol = 0.0"),
+        (["sample", "ensemble"], "rtol = 1e-15"),
         (["geodesic"], "geo_rtol = 0.0"),
-    ], ids=["simulate-zero", "simulate-negative", "ensemble-zero", "geodesic-zero"])
+        (["geodesic"], "geo_rtol = 1e-15"),
+    ], ids=["simulate-zero", "simulate-negative", "simulate-below-floor", "ensemble-zero",
+            "ensemble-below-floor", "geodesic-zero", "geodesic-below-floor"])
     def test_tolerance_not_positive_exits_2(self, tmp_path, capsys, stages, line):
-        # the stepper, as scipy's RK45, would silently raise a zero or negative rtol
-        # to 100 machine epsilons; a zero geodesic rtol stalled
+        # scipy's RK45 would silently raise an rtol below 100 machine epsilons,
+        # zero and negative ones included, to that floor; the stepper takes it as
+        # given, so it is rejected up front.  A zero geodesic rtol stalled
         cfg = tmp_path / "tol.cfg"
         cfg.write_text("n_samples = 8\n" + line + "\n")
         out = str(tmp_path / "run")
@@ -359,8 +378,12 @@ class TestCliStages:
         monkeypatch.setattr(geodesics, "mbam_step", step)
         cfg = Config(geo_rtol=1e-3)
         with pytest.raises(ChainDivergenceError):
-            pipeline.stage_mbam(cfg, str(tmp_path))
+            pipeline.run_stage("mbam", cfg, str(tmp_path))
         assert calls == [{"rtol": 1e-3}]
+        # the diverged ladder is written and recorded before it is raised
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert [(s["stage"], [f["path"] for f in s["files"]]) for s in manifest["stages"]] \
+            == [("mbam", ["mbam_chain.json"])]
 
 
 def test_cli_and_analytic_track_load_no_scipy_submodule():

@@ -266,6 +266,9 @@ class TestIntegrate:
         traj = integrate(NOM, t_end=0.0)
         np.testing.assert_array_equal(traj.at([0.0])[0, 0], INITIAL_STATE)
 
+    def test_no_times_give_no_states(self):
+        assert integrate(NOM, t_end=0.5).at([]).shape == (1, 0, 6)
+
     def test_tolerance_refinement(self, nominal_trajectory):
         y1 = observe(nominal_trajectory)
         fine = integrate(NOM, rtol=5e-8, atol=5e-8)
@@ -386,15 +389,3 @@ class TestReducedModel:
         d, res = rhs(INITIAL_STATE, NOM, LimitFlags.first(2))
         assert d.shape == (4,)
         assert abs(res["power_balance"]) < 1e-12
-
-    def test_full_vs_reduced_fidelity(self, nominal_trajectory):
-        ics = nominal_trajectory.at([3.0])[0, 0]
-        red = integrate(NOM, LimitFlags.all(), ics=ics, t_end=5.0, t_start=3.0)
-        tt = np.linspace(3, 5, 401)
-        sf = nominal_trajectory.at(tt)[0]
-        sr = red.at(tt)[0]
-        rel = [np.max(np.abs(sf[:, i] - sr[:, i])) / np.max(np.abs(sf[:, i]))
-               for i in range(6)]
-        for i, name in enumerate(STATE_NAMES):
-            bound = 0.05 if name in ("delta", "omega", "eq1", "ed1") else 0.15
-            assert rel[i] <= bound, f"{name}: {rel[i]:.3f} > {bound}"
