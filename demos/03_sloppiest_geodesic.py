@@ -7,7 +7,7 @@ while the velocity norm blows up.  The boundary distance agrees with the
 square root of the smallest information eigenvalue, and the diagnosed limit
 (D -> 0) is the first rung of the reduction ladder.
 
-Takes a minute or two: every geodesic step re-integrates the model 25 times.
+Takes about ten seconds: every geodesic step re-integrates the model 25 times.
 """
 
 import math

@@ -10,7 +10,7 @@ its divergence record is printed in place of a reduction.  The model with
 all five limits applied reproduces the full trajectories on the observation
 window to within a few percent.
 
-The ladder re-solves many geodesics; expect roughly ten minutes.
+The ladder re-solves many geodesics; expect about a minute.
 """
 
 import numpy as np

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -25,9 +24,6 @@ EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 EXIT_DISAGREEMENT = 4
 
-#: ensemble size of the paper's protocol, which ``--paper-scale`` selects
-PAPER_SCALE_SAMPLES = 10000
-
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -41,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="ensemble seed")
         p.add_argument("--workers", type=int, help="parallel workers")
         p.add_argument("--out", default="out", help="run directory (default: out)")
-        p.add_argument("--paper-scale", action="store_true",
-                       help=f"use the full {PAPER_SCALE_SAMPLES}-sample protocol")
         p.add_argument("--svg", action="store_true", help="emit SVG plots")
 
     for name in [*STAGES, "pipeline"]:
@@ -66,10 +60,7 @@ def _config_from_args(args) -> Config:
     overrides = {"seed": args.seed, "workers": args.workers}
     if args.svg:
         overrides["svg"] = True
-    cfg = load_config(args.config, **overrides)
-    if args.paper_scale:
-        cfg = dataclasses.replace(cfg, n_samples=PAPER_SCALE_SAMPLES)
-    return cfg
+    return load_config(args.config, **overrides)
 
 
 def _cmd_gh_eval(args) -> int:

@@ -73,17 +73,17 @@ class DormandPrince:
 
     ``rtol`` is taken as given; callers hold it to :func:`check_rtol`.  A
     ``first_step`` of None is chosen from ``fun`` (one extra evaluation); any
-    step, the first included, is cut to end at ``t_bound``.  ``f0``, when
-    given, is ``fun(y0)`` already evaluated.  :meth:`step` advances one
-    accepted step and sets ``status`` to "finished" at ``t_bound`` or "failed".
+    step, the first included, is cut to end at ``t_bound``.  :meth:`step`
+    advances one accepted step and sets ``status`` to "finished" at
+    ``t_bound`` or "failed".
     """
 
     def __init__(self, fun: Callable[[np.ndarray], np.ndarray], t0: float, y0: np.ndarray,
                  t_bound: float, *, rtol: float, atol: float, max_step: float,
-                 first_step: float | None = None, f0: np.ndarray | None = None):
+                 first_step: float | None = None):
         self.fun, self.t, self.y, self.t_bound = fun, t0, y0, t_bound
         self.rtol, self.atol, self.max_step = rtol, atol, max_step
-        self.f = fun(y0) if f0 is None else f0
+        self.f = fun(y0)
         self.h_abs = self._initial_step() if first_step is None else first_step
         self.K = np.empty((len(_E), y0.size))
         self.t_old = self.y_old = None

@@ -5,7 +5,10 @@ manifold boundary after a finite length; the parameter whose coordinate
 diverges there names the next reduction limit.  The geodesic ODE is
 integrated in rescaled arc variables (time in units of the initial boundary
 distance estimate, velocity scaled to unit norm) so its components are all
-order one regardless of how degenerate the metric is.
+order one regardless of how degenerate the metric is.  Near the boundary the
+speed blows up like 1/(tau_b - tau), so the trace stops at the first step
+whose speed has risen :data:`VEL_RATIO`-fold, and the boundary is found by
+extrapolating 1/speed to zero.
 """
 
 from __future__ import annotations
@@ -53,28 +56,13 @@ METRIC_FLOOR = 1e-13
 #: second-difference step along the direction (log-parameter units)
 DIR_STEP = 1e-2
 
-# a geodesic whose speed has risen this many times its start speed, and then
-# grows by less than _PLATEAU_GROWTH (relative) over a chunk, has saturated
-# against the metric floor
-_PLATEAU_RATIO = 10.0
-_PLATEAU_GROWTH = 0.02
-
-#: model evaluations allowed per geodesic chunk before it counts as stalled
-_CHUNK_EVAL_BUDGET = 300
-
 # boundary thresholds of trace_geodesic: the rescaled speed (start speed 1) and
 # the largest |log-parameter|; the second keeps exp() of a log-parameter finite
-VEL_RATIO = 1e3
+VEL_RATIO = 10.0
 LOG_BOUND = 25.0
 
 #: default step-control tolerance (rtol) of trace_geodesic
 DEFAULT_GEODESIC_RTOL = 1e-6
-
-_EPS = np.finfo(float).eps
-
-
-class _ChunkStalled(Exception):
-    """Internal: a geodesic chunk exhausted its evaluation budget."""
 
 
 @dataclass(frozen=True)
@@ -166,29 +154,22 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
                    rtol: float = DEFAULT_GEODESIC_RTOL,
                    param_names: Sequence[str] | None = None) -> GeodesicTrace:
     """Integrate the geodesic equation from log-parameters ``theta`` with
-    d(theta)/d(tau) = ``velocity`` until a boundary indicator fires.
+    d(theta)/d(tau) = ``velocity`` until it reaches a boundary.
 
-    Three signals count as reaching a boundary: a log-parameter exceeding
-    :data:`LOG_BOUND` in magnitude, the velocity norm growing past
-    :data:`VEL_RATIO` times its initial value, or the velocity saturating
-    against the metric floor (risen by at least ``_PLATEAU_RATIO`` and then
-    flat to within ``_PLATEAU_GROWTH`` over a whole chunk).  The last matters
-    for singular limits: past the floor the underlying model grows ever
-    stiffer and chasing the nominal thresholds would cost unbounded work for
-    no extra information.
-
-    Integration proceeds in chunks whose arc length is capped so that no
-    chunk travels more than about one log-unit, keeping the post-saturation
-    overshoot bounded.  Every accepted step is kept.  A chunk that burns its
-    evaluation budget has stalled: at a boundary if the speed it reached had
-    risen by ``_PLATEAU_RATIO``, else a ``failure``.  Running out the
-    ``tau_max`` arc budget is not a boundary; model breakdown yields a partial
-    trace marked ``failure``.  ``rtol`` is the relative tolerance of the
-    Dormand–Prince step control (:mod:`genident.dopri`), held to
-    :func:`~genident.dopri.check_rtol`, and ``param_names`` (default ``p0, p1,
-    ...``) label the trace's columns.
+    One Dormand–Prince run (:mod:`genident.dopri`, relative tolerance
+    ``rtol``, held to :func:`~genident.dopri.check_rtol`) covers the whole
+    ``tau_max`` arc budget, no step longer than a twentieth of it.  Every
+    accepted step is kept, and the first at which the speed reaches
+    :data:`VEL_RATIO` times its launch value, or a log-parameter reaches
+    :data:`LOG_BOUND` in magnitude, is the last: a ``boundary``.  Running out
+    the budget is ``max_tau``, not a boundary; a failed step or a model
+    breakdown ends a partial trace marked ``failure``.  ``tau_max`` must be
+    finite and positive.  ``param_names`` (default ``p0, p1, ...``) label the
+    trace's columns.
     """
     check_rtol(rtol, "geodesic rtol")
+    if not (math.isfinite(tau_max) and tau_max > 0):
+        raise DomainError(f"geodesic tau_max must be finite and positive, got {tau_max!r}")
     theta0 = np.asarray(theta, dtype=float)
     v0 = np.asarray(velocity, dtype=float)
     n = theta0.size
@@ -205,92 +186,43 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
     T = 1.0 / v0n
     s_max = tau_max / T
 
-    budget = {"left": 0}
-
     def rhs(y):
-        if budget["left"] <= 0:
-            raise _ChunkStalled()
-        budget["left"] -= 1
         theta, w = y[:n], y[n:]
         return np.concatenate([w, -contraction_for_map(f, theta, w)])
 
-    # threshold indicators; a boundary is where one changes sign
-    indicators = (lambda y: np.linalg.norm(y[n:]) - VEL_RATIO,
-                  lambda y: np.max(np.abs(y[:n])) - LOG_BOUND)
-
     ss = [0.0]
     ys = [np.concatenate([theta0, v0 * T])]
-    reason = "max_tau"
-    detail = ""
-    ds_base = s_max / 20.0
-    first_step = f_start = None
-    while ss[-1] < s_max:
-        s_now, y_now = ss[-1], ys[-1]
-        w_norm = np.linalg.norm(y_now[n:])
-        ds = min(ds_base, 1.0 / max(w_norm, 1.0), s_max - s_now)
-        # a chunk after the first starts from the last stage of the one before,
-        # which still counts against this chunk's budget
-        budget["left"] = _CHUNK_EVAL_BUDGET - (f_start is not None)
-        g = [ind(y_now) for ind in indicators]
-        try:
-            solver = DormandPrince(
-                rhs, s_now, y_now, s_now + ds, rtol=rtol, atol=1e-8, max_step=ds, f0=f_start,
-                first_step=None if first_step is None else min(first_step, 0.5 * ds))
-            while solver.status == "running":
-                message = solver.step()
-                if solver.status == "failed":
-                    reason, detail = "failure", message
-                    break
-                first_step = solver.t - solver.t_old
-                g_new = [ind(solver.y) for ind in indicators]
-                crossed = [i for i, (a, b) in enumerate(zip(g, g_new))
-                           if (a <= 0 <= b) or (a >= 0 >= b)]
-                if crossed:
-                    from scipy.optimize import brentq  # only a threshold event needs scipy
-                    sol = solver.dense_output()
-                    s_hit = min(brentq(lambda s, i=i: indicators[i](sol(s)),
-                                       solver.t_old, solver.t, xtol=4 * _EPS, rtol=4 * _EPS)
-                                for i in crossed)
-                    ss.append(s_hit)
-                    ys.append(sol(s_hit))
-                    reason, detail = "boundary", "threshold event"
-                    break
-                g = g_new
-                ss.append(solver.t)
-                ys.append(solver.y)
-            f_start = solver.f
-        except _ChunkStalled:
-            # near a boundary the solver stops converging because the
-            # acceleration is dominated by differencing noise or blows up, so
-            # the chunk burns its evaluation budget; the speed it reached
-            # tells a boundary from a stall in the middle of the manifold
-            if np.linalg.norm(ys[-1][n:]) >= _PLATEAU_RATIO:
-                reason = "boundary"
-                detail = "velocity growth stalled against the metric floor"
-            else:
-                reason, detail = "failure", "geodesic stalled before any blow-up"
-        except (SolverError, FloatingPointError) as exc:
-            reason, detail = "failure", str(exc)
-        if reason != "max_tau":
-            break
-        w_end = np.linalg.norm(ys[-1][n:])
-        if w_end >= _PLATEAU_RATIO and w_end - w_norm <= _PLATEAU_GROWTH * w_end:
-            reason, detail = "boundary", "velocity saturated at the metric floor"
-            break
+    reason, detail = "max_tau", ""
+    try:
+        solver = DormandPrince(rhs, 0.0, ys[0], s_max, rtol=rtol, atol=1e-8,
+                               max_step=s_max / 20.0)
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                reason, detail = "failure", message
+                break
+            ss.append(solver.t)
+            ys.append(solver.y)
+            if np.linalg.norm(solver.y[n:]) >= VEL_RATIO:
+                reason, detail = "boundary", "speed threshold"
+                break
+            if np.max(np.abs(solver.y[:n])) >= LOG_BOUND:
+                reason, detail = "boundary", "log-parameter bound"
+                break
+    except (SolverError, FloatingPointError) as exc:
+        reason, detail = "failure", str(exc)
 
-    taus = np.asarray(ss) * T
     y_all = np.vstack(ys)
-    thetas = y_all[:, :n]
-    velocities = y_all[:, n:] / T
-    keep = np.concatenate([[True], np.diff(taus) > 0])
-    return GeodesicTrace(taus[keep], thetas[keep], velocities[keep], reason, names, detail)
+    return GeodesicTrace(np.asarray(ss) * T, y_all[:, :n], y_all[:, n:] / T, reason,
+                         names, detail)
 
 
 def _asymptote_tau(trace: GeodesicTrace) -> float:
     """Locate the vertical asymptote by extrapolating 1/|v| to zero.
 
-    The metric floor eventually freezes the velocity growth, so the fit uses
-    only the strictly rising part of the speed profile.
+    The fit takes the last dozen points whose speed has at least doubled but
+    stays under 0.9 of the peak, leaving out the slow start and the last
+    steps, which differencing noise sets near the boundary.
     """
     speeds = trace.speed_norms()
     v0 = speeds[0]

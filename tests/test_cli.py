@@ -305,7 +305,7 @@ class TestCliStages:
     def test_tolerance_not_positive_exits_2(self, tmp_path, capsys, stages, line):
         # scipy's RK45 would silently raise an rtol below 100 machine epsilons,
         # zero and negative ones included, to that floor; the stepper takes it as
-        # given, so it is rejected up front.  A zero geodesic rtol stalled
+        # given, so it is rejected up front
         cfg = tmp_path / "tol.cfg"
         cfg.write_text("n_samples = 8\n" + line + "\n")
         out = str(tmp_path / "run")
@@ -387,21 +387,32 @@ class TestCliStages:
 
 
 def test_cli_and_analytic_track_load_no_scipy_submodule():
-    # in a fresh interpreter: the CLI, the model map, a sensitivity Jacobian and
-    # a geodesic contraction load no scipy submodule; the bare scipy import for
-    # the manifest's version stamp is allowed.  Eigensolves and geodesic
-    # threshold events import what they need when they run
+    # in a fresh interpreter: the CLI, the model map, a sensitivity Jacobian, a
+    # geodesic contraction and a geodesic traced to its boundary (on the
+    # exp-sum toy) load no scipy submodule; the bare scipy import for the
+    # manifest's version stamp is allowed.  Eigensolves import what they need
+    # when they run
     code = "\n".join([
         "import sys",
         "import numpy as np",
         "import genident.cli",
-        "from genident.fim import generator_map, sensitivities",
+        "from genident.fim import central_difference_jacobian, generator_map, sensitivities",
         "from genident.generator import IndependentParams, LimitFlags, integrate",
-        "from genident.geodesics import contraction_for_map",
+        "from genident.geodesics import contraction_for_map, trace_geodesic",
         "p = IndependentParams.nominal()",
         "integrate(p)",
         "sensitivities(p, LimitFlags.first(2))",
         "contraction_for_map(generator_map(LimitFlags()), np.log(p.to_array()), np.ones(11))",
+        "ts = np.array([0.25, 0.75, 1.5, 3.0])",
+        "def toy(x):",
+        "    th = np.exp(np.atleast_2d(x))",
+        "    return np.exp(-th[:, :1] * ts) + np.exp(-th[:, 1:2] * ts)",
+        "x0 = np.log([1.0, 3.0])",
+        "J = central_difference_jacobian(toy, x0, 1e-5)",
+        "lam, U = np.linalg.eigh(J.T @ J)",
+        "v0 = np.sign(U[1, 0]) * U[:, 0] / np.sqrt(lam[0])",
+        "tr = trace_geodesic(toy, x0, v0, tau_max=10 * np.sqrt(lam[0]))",
+        "assert tr.terminated == 'boundary', tr.terminated",
         "print(' '.join(sorted(sys.modules)))",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

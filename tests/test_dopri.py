@@ -39,7 +39,7 @@ def _van_der_pol(y, mu=5.0):
 
 def test_stepwise_run_matches_scipy_bit_for_bit():
     # first_step None (the initial-step rule), rejected steps on the stiff-ish
-    # oscillator, the scalar interpolant, and a restart from the last stage
+    # oscillator, the scalar interpolant, and a restart with a given first step
     ours = dopri.DormandPrince(_van_der_pol, 0.0, np.array([2.0, 0.0]), 3.0,
                                rtol=1e-6, atol=1e-8, max_step=0.5)
     ref = RK45(lambda t, y: _van_der_pol(y), 0.0, np.array([2.0, 0.0]), 3.0,
@@ -55,9 +55,9 @@ def test_stepwise_run_matches_scipy_bit_for_bit():
         np.testing.assert_array_equal(ours.dense_output()(mid), ref.dense_output()(mid))
     # two evaluations to start, six per attempted step: at least one was rejected
     assert ref.nfev > 2 + 6 * steps and ours.status == "finished"
-    # a restart from the end with the stage already known, as a new fresh solve
+    # a restart from the end with a given first step, as a new fresh solve
     ours = dopri.DormandPrince(_van_der_pol, 3.0, ours.y, 4.0, rtol=1e-6, atol=1e-8,
-                               max_step=0.5, first_step=0.01, f0=ours.f)
+                               max_step=0.5, first_step=0.01)
     ref = RK45(lambda t, y: _van_der_pol(y), 3.0, ref.y, 4.0, rtol=1e-6, atol=1e-8,
                max_step=0.5, first_step=0.01)
     for _ in range(5):

@@ -132,37 +132,40 @@ class TestTraceGeodesic:
         th1, th2 = np.exp(other.thetas[-1])
         assert abs(th1 / th2 - 1.0) < 0.1
 
-    def test_reused_chunk_start_still_counts_against_the_budget(self, monkeypatch):
-        # each chunk after the first starts from the last right-hand side value of
-        # the one before, equal to a fresh evaluation; the chunk that stalls
-        # against the metric floor makes one fresh evaluation fewer than its budget
+    def test_one_run_ends_at_the_first_step_past_the_speed_threshold(self, monkeypatch):
+        # the whole trace is one Dormand–Prince run, and its last point is the
+        # first accepted step whose rescaled speed reaches VEL_RATIO
         ts = np.array([0.25, 0.75, 1.5, 3.0])
-        base = exp_sum_map(ts)
-        calls, starts = [0], []
-
-        def f(x):
-            calls[0] += 1
-            return base(x)
+        f = exp_sum_map(ts)
+        built = []
 
         class Recording(geodesics.DormandPrince):
-            def __init__(self, fun, t0, y0, t_bound, **options):
-                starts.append(calls[0])
-                if options["f0"] is not None:
-                    w = y0[2:]
-                    np.testing.assert_array_equal(
-                        options["f0"], np.concatenate([w, -contraction_for_map(base, y0[:2], w)]))
-                super().__init__(fun, t0, y0, t_bound, **options)
+            def __init__(self, *args, **options):
+                built.append(options)
+                super().__init__(*args, **options)
 
         monkeypatch.setattr(geodesics, "DormandPrince", Recording)
         x0 = np.log([1.0, 3.0])
-        J = central_difference_jacobian(base, x0, 1e-5)
+        J = central_difference_jacobian(f, x0, 1e-5)
         sp = spectrum(fim(SensitivityMatrix(J, ("th1", "th2"))), ("th1", "th2"))
         v0 = sloppiest_direction(sp.eigenvalues, sp.eigenvectors)
         up = v0 if v0[1] > 0 else -v0
         tr = trace_geodesic(f, x0, up, tau_max=10 * math.sqrt(sp.eigenvalues[-1]))
-        assert tr.detail == "velocity growth stalled against the metric floor"
-        per_chunk = np.diff(starts + calls)
-        assert len(per_chunk) > 2 and per_chunk[-1] == geodesics._CHUNK_EVAL_BUDGET - 1
+        assert len(built) == 1
+        assert (tr.terminated, tr.detail) == ("boundary", "speed threshold")
+        ratio = tr.speed_norms() / np.linalg.norm(up)
+        assert ratio[-1] >= geodesics.VEL_RATIO
+        assert np.all(ratio[:-1] < geodesics.VEL_RATIO) and len(ratio) > 2
+
+    @pytest.mark.parametrize("tau_max", [0.0, -1.0, float("nan")])
+    def test_arc_budget_must_be_finite_and_positive(self, monkeypatch, tau_max):
+        # rejected before the map is evaluated or a solver is built
+        def untouched(*args, **options):
+            raise AssertionError("work done for an invalid tau_max")
+
+        monkeypatch.setattr(geodesics, "DormandPrince", untouched)
+        with pytest.raises(DomainError, match="tau_max"):
+            trace_geodesic(untouched, np.zeros(2), np.ones(2), tau_max=tau_max)
 
     def test_taus_strictly_increasing_invariant(self):
         with pytest.raises(DomainError):
