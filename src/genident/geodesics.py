@@ -61,6 +61,10 @@ DIR_STEP = 1e-2
 VEL_RATIO = 10.0
 LOG_BOUND = 25.0
 
+#: contractions one trace may evaluate: a trace whose step the error control
+#: holds small creeps, and ends here as a failure rather than run unbounded
+MAX_CONTRACTIONS = 2000
+
 #: default step-control tolerance (rtol) of trace_geodesic
 DEFAULT_GEODESIC_RTOL = 1e-6
 
@@ -162,10 +166,11 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
     accepted step is kept, and the first at which the speed reaches
     :data:`VEL_RATIO` times its launch value, or a log-parameter reaches
     :data:`LOG_BOUND` in magnitude, is the last: a ``boundary``.  Running out
-    the budget is ``max_tau``, not a boundary; a failed step or a model
-    breakdown ends a partial trace marked ``failure``.  ``tau_max`` must be
-    finite and positive.  ``param_names`` (default ``p0, p1, ...``) label the
-    trace's columns.
+    the budget is ``max_tau``, not a boundary.  A failed step, a model
+    breakdown, or a trace that would need more than :data:`MAX_CONTRACTIONS`
+    evaluations of the geodesic equation ends a partial trace marked
+    ``failure``.  ``tau_max`` must be finite and positive.  ``param_names``
+    (default ``p0, p1, ...``) label the trace's columns.
     """
     check_rtol(rtol, "geodesic rtol")
     if not (math.isfinite(tau_max) and tau_max > 0):
@@ -186,7 +191,14 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
     T = 1.0 / v0n
     s_max = tau_max / T
 
+    evals = 0
+
     def rhs(y):
+        nonlocal evals
+        evals += 1
+        if evals > MAX_CONTRACTIONS:
+            raise SolverError(f"no boundary within {MAX_CONTRACTIONS} contractions; "
+                              "a looser rtol takes longer steps")
         theta, w = y[:n], y[n:]
         return np.concatenate([w, -contraction_for_map(f, theta, w)])
 
@@ -220,27 +232,18 @@ def trace_geodesic(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
 def _asymptote_tau(trace: GeodesicTrace) -> float:
     """Locate the vertical asymptote by extrapolating 1/|v| to zero.
 
-    The fit takes the last dozen points whose speed has at least doubled but
-    stays under 0.9 of the peak, leaving out the slow start and the last
-    steps, which differencing noise sets near the boundary.
+    Near the boundary 1/|v| falls linearly, like tau_b - tau, so the line
+    through its last two points meets zero at tau_b, past the end of the
+    trace.  A trace that did not end by rising through :data:`VEL_RATIO`
+    times its launch speed (one stopped at :data:`LOG_BOUND`, say) has no
+    such fall to extrapolate: its boundary is its last time.
     """
     speeds = trace.speed_norms()
-    v0 = speeds[0]
-    i_peak = int(np.argmax(speeds))
-    v_peak = speeds[i_peak]
-    rising = [i for i in range(i_peak + 1)
-              if 2.0 * v0 <= speeds[i] <= 0.9 * v_peak]
-    if len(rising) < 3 or v_peak < 5.0 * v0:
-        return float(trace.taus[-1])
-    idx = rising[-12:]
-    x = trace.taus[idx]
-    y = 1.0 / speeds[idx]
-    b, a = np.polyfit(x, y, 1)
-    if b >= 0:
-        return float(trace.taus[-1])
-    tau_b = -a / b
-    lo, hi = float(trace.taus[idx[-1]]), float(trace.taus[-1])
-    return float(min(max(tau_b, lo), hi))
+    taus = trace.taus
+    if len(speeds) < 2 or speeds[-1] < VEL_RATIO * speeds[0] or speeds[-1] <= speeds[-2]:
+        return float(taus[-1])
+    # the line through (taus[i], 1 / speeds[i]) for i = -2, -1 meets zero here
+    return float(taus[-1] + (taus[-1] - taus[-2]) * speeds[-2] / (speeds[-1] - speeds[-2]))
 
 
 def diagnose_boundary(trace: GeodesicTrace) -> BoundaryDiagnosis:

@@ -38,6 +38,19 @@ def exp_sum_map(ts):
     return f
 
 
+def exp_sum_launch():
+    """The exp-sum toy at theta = (1, 3), launched along the sloppiest
+    direction oriented to raise theta_2, with an arc budget of ten times the
+    square root of the smallest eigenvalue."""
+    f = exp_sum_map([0.25, 0.75, 1.5, 3.0])
+    x0 = np.log([1.0, 3.0])
+    J = central_difference_jacobian(f, x0, 1e-5)
+    sp = spectrum(fim(SensitivityMatrix(J, ("th1", "th2"))), ("th1", "th2"))
+    v0 = sloppiest_direction(sp.eigenvalues, sp.eigenvectors)
+    up = v0 if v0[1] > 0 else -v0
+    return f, x0, up, 10 * math.sqrt(sp.eigenvalues[-1])
+
+
 class TestChristoffel:
     def test_linear_map_has_no_curvature(self):
         rng = np.random.default_rng(0)
@@ -135,8 +148,7 @@ class TestTraceGeodesic:
     def test_one_run_ends_at_the_first_step_past_the_speed_threshold(self, monkeypatch):
         # the whole trace is one Dormand–Prince run, and its last point is the
         # first accepted step whose rescaled speed reaches VEL_RATIO
-        ts = np.array([0.25, 0.75, 1.5, 3.0])
-        f = exp_sum_map(ts)
+        f, x0, up, tau_max = exp_sum_launch()
         built = []
 
         class Recording(geodesics.DormandPrince):
@@ -145,17 +157,28 @@ class TestTraceGeodesic:
                 super().__init__(*args, **options)
 
         monkeypatch.setattr(geodesics, "DormandPrince", Recording)
-        x0 = np.log([1.0, 3.0])
-        J = central_difference_jacobian(f, x0, 1e-5)
-        sp = spectrum(fim(SensitivityMatrix(J, ("th1", "th2"))), ("th1", "th2"))
-        v0 = sloppiest_direction(sp.eigenvalues, sp.eigenvectors)
-        up = v0 if v0[1] > 0 else -v0
-        tr = trace_geodesic(f, x0, up, tau_max=10 * math.sqrt(sp.eigenvalues[-1]))
+        tr = trace_geodesic(f, x0, up, tau_max=tau_max)
         assert len(built) == 1
         assert (tr.terminated, tr.detail) == ("boundary", "speed threshold")
         ratio = tr.speed_norms() / np.linalg.norm(up)
         assert ratio[-1] >= geodesics.VEL_RATIO
         assert np.all(ratio[:-1] < geodesics.VEL_RATIO) and len(ratio) > 2
+
+    def test_contraction_bound_ends_the_trace_as_a_failure(self, monkeypatch):
+        # a trace that needs more contractions than the bound keeps the steps
+        # it took and ends as a failure, with no contraction past the bound
+        f, x0, up, tau_max = exp_sum_launch()
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return contraction_for_map(*args)
+
+        monkeypatch.setattr(geodesics, "contraction_for_map", counted)
+        monkeypatch.setattr(geodesics, "MAX_CONTRACTIONS", 20)
+        tr = trace_geodesic(f, x0, up, tau_max=tau_max)
+        assert tr.terminated == "failure" and "20 contractions" in tr.detail
+        assert len(calls) == 20 and len(tr.taus) > 1
 
     @pytest.mark.parametrize("tau_max", [0.0, -1.0, float("nan")])
     def test_arc_budget_must_be_finite_and_positive(self, monkeypatch, tau_max):
@@ -188,6 +211,24 @@ class TestDiagnose:
                            "max_tau", ("a", "b"))
         with pytest.raises(DomainError):
             diagnose_boundary(tr)
+
+    def test_boundary_time_is_extrapolated_past_the_last_point(self, monkeypatch):
+        # 1/|v| extrapolated to zero from a trace cut at 10- or 30-fold speed
+        # lands past its last point and within 0.5% of where a trace run on
+        # to 1e4-fold speed ends; the 10-fold trace's own end is 0.8% short
+        f, x0, up, tau_max = exp_sum_launch()
+
+        def traced(ratio):
+            monkeypatch.setattr(geodesics, "VEL_RATIO", ratio)
+            tr = trace_geodesic(f, x0, up, tau_max=tau_max)
+            assert tr.detail == "speed threshold"
+            return tr.taus[-1], diagnose_boundary(tr).tau_boundary
+
+        asymptote = traced(1e4)[0]
+        for ratio in (10.0, 30.0):
+            last, tau_b = traced(ratio)
+            assert tau_b > last
+            assert tau_b == pytest.approx(asymptote, rel=5e-3)
 
     def test_to_zero_sign(self):
         tr = GeodesicTrace(np.array([0.0, 1.0]), np.zeros((2, 2)),
