@@ -8,7 +8,7 @@ The same stages are exposed as CLI subcommands:
     genident simulate --out run
     genident sample --out run
     genident ensemble --out run
-    genident fim --out run --svg
+    genident fim --out run
     genident dmaps --out run && genident residuals --out run
     genident gh-fit --out run && genident ift --out run
     genident compare --out run --strict
@@ -22,7 +22,7 @@ import tempfile
 
 from genident.pipeline import Config, run_stage
 
-cfg = Config(svg=True)
+cfg = Config()
 out = tempfile.mkdtemp(prefix="genident_demo_")
 
 run_stage("simulate", cfg, out)

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .errors import ChainDivergenceError, DomainError, SolverError
+from .harmonics import distance_to_training, gh_predict
 from .pipeline import (
     STAGES,
-    Config,
     load_config,
     read_csv,
     read_json,
@@ -32,46 +33,32 @@ def _build_parser() -> argparse.ArgumentParser:
                     "infinite-bus synchronous generator benchmark.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name in [*STAGES, "pipeline"]:
+        p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="ensemble seed")
         p.add_argument("--workers", type=int, help="parallel workers")
         p.add_argument("--out", default="out", help="run directory (default: out)")
-        p.add_argument("--svg", action="store_true", help="emit SVG plots")
-
-    for name in [*STAGES, "pipeline"]:
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        common(p)
         if name == "compare":
             p.add_argument("--strict", action="store_true",
                            help="exit 4 if the tracks disagree")
 
-    p = sub.add_parser("gh-eval", help="evaluate a stored regression model; inputs and "
-                       "predictions are in the [0, 1] units of its training rescaling")
-    common(p)
+    p = sub.add_parser("gh-eval", help="evaluate a stored regression model into "
+                       "<out>/gh_eval.csv; inputs and predictions are in the [0, 1] "
+                       "units of its training rescaling")
     p.add_argument("--model", required=True, help="gh model JSON")
     p.add_argument("--inputs", required=True, help="CSV of input rows, in [0, 1] units")
-    p.add_argument("--predictions", default=None,
-                   help="output CSV (default: <out>/gh_eval.csv)")
+    p.add_argument("--out", default="out", help="run directory (default: out)")
     return ap
-
-
-def _config_from_args(args) -> Config:
-    overrides = {"seed": args.seed, "workers": args.workers}
-    if args.svg:
-        overrides["svg"] = True
-    return load_config(args.config, **overrides)
 
 
 def _cmd_gh_eval(args) -> int:
     model = gh_model_from_json(read_json(args.model))
     _, rows = read_csv(args.inputs)
-    from .harmonics import distance_to_training, gh_predict
     pred = gh_predict(model, rows).reshape(rows.shape[0], -1)
     dist = distance_to_training(model, rows)
     names = model.target_names or tuple(f"f{j}" for j in range(pred.shape[1]))
-    out_path = args.predictions or f"{args.out}/gh_eval.csv"
-    import os
+    out_path = os.path.join(args.out, "gh_eval.csv")
     os.makedirs(args.out, exist_ok=True)
     write_csv(out_path, [f"pred_{nm}" for nm in names] + ["kernel_distance"],
               np.column_stack([pred, dist]))
@@ -82,9 +69,9 @@ def _cmd_gh_eval(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
         if args.command == "gh-eval":
             return _cmd_gh_eval(args)
+        cfg = load_config(args.config, seed=args.seed, workers=args.workers)
         result = run_stage(args.command, cfg, args.out)
         if args.command == "compare":
             print(f"fim dim {result.fim_effective_dim} vs dmaps dim "

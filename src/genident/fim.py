@@ -80,25 +80,26 @@ class InfoSpectrum:
         return {name: float(np.sqrt(part[i, :k].sum())) for i, name in enumerate(self.param_names)}
 
 
-def generator_map(flags: LimitFlags = LimitFlags(),
-                  grid: ObservationGrid = DEFAULT_GRID) -> Callable[[np.ndarray], np.ndarray]:
+def generator_map(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_GRID,
+                  held: IndependentParams = IndependentParams()
+                  ) -> Callable[[np.ndarray], np.ndarray]:
     """Batched map from log-parameter rows (of the active parameters) to outputs.
 
     The returned callable accepts a (k, n_active) array of log-parameters and
     returns (k, M) outputs, integrating all rows in one shared-step solve at
     the tolerance :data:`SENSITIVITY_RTOL`.
-    Inactive (flagged-away) parameters are held at their nominal values.  D, H
-    and dx1 then drop out of the equations; Tdpp and Tqpp do not, since they
-    still enter the transient time constants T'_d0 = Tdpp + dTd and
-    T'_q0 = Tqpp + dTq.
+    Inactive (flagged-away) parameters are held at their values in ``held``,
+    nominal by default.  D, H and dx1 then drop out of the equations; Tdpp and
+    Tqpp do not, since they still enter the transient time constants
+    T'_d0 = Tdpp + dTd and T'_q0 = Tqpp + dTq.
     """
     active = flags.active_params()
-    nominal = IndependentParams.nominal().to_array()
+    base = held.to_array()
     idx = [PARAM_NAMES.index(nm) for nm in active]
 
     def f(log_theta: np.ndarray) -> np.ndarray:
         lt = np.atleast_2d(np.asarray(log_theta, dtype=float))
-        ps = np.tile(nominal, (lt.shape[0], 1))
+        ps = np.tile(base, (lt.shape[0], 1))
         ps[:, idx] = np.exp(lt)
         traj = integrate_batch(ps, flags, t_end=grid.t_end, rtol=SENSITIVITY_RTOL,
                                atol=SENSITIVITY_RTOL)
@@ -143,13 +144,13 @@ def sensitivities(p: IndependentParams, flags: LimitFlags = LimitFlags(),
     """Output sensitivities with respect to the active log-parameters.
 
     Column j is (Y(theta * exp(+h e_j)) - Y(theta * exp(-h e_j))) / 2h, with
-    h = :data:`JAC_STEP`.
+    h = :data:`JAC_STEP`; the flagged-away parameters keep their values in ``p``.
     """
     active = flags.active_params()
     theta = np.array([getattr(p, nm) for nm in active])
     if np.any(theta <= 0):
         raise DomainError("log-parameter differencing requires strictly positive parameters")
-    J = central_difference_jacobian(generator_map(flags, grid), np.log(theta), JAC_STEP)
+    J = central_difference_jacobian(generator_map(flags, grid, p), np.log(theta), JAC_STEP)
     return SensitivityMatrix(J, active)
 
 

@@ -484,11 +484,6 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     if not (math.isfinite(atol) and atol > 0):
         raise DomainError(f"atol must be finite and positive, got {atol!r}")
     b = _bare_arrays(params, flags)
-
-    if t_end == t_start:
-        return Trajectory(np.array([t_start]), (t_start, t_end), n,
-                          lambda t: np.tile(x0, (n, len(t), 1)))
-
     integrated = [STATE_NAMES.index(nm) for nm in _integrated_states(flags)]
 
     def columns(y):
@@ -519,8 +514,11 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     def f(y):
         return _rhs_kernel(y.reshape(-1, n, 1), b, flags)[0].ravel()
 
-    times, dense = solve(f, t_start, s0.ravel(), t_end, rtol=rtol, atol=atol,
-                         first_step=1e-4, max_step=0.05)
+    if t_end > t_start:
+        times, dense = solve(f, t_start, s0.ravel(), t_end, rtol=rtol, atol=atol,
+                             first_step=1e-4, max_step=0.05)
+    else:  # a zero span holds the consistent start
+        times, dense = np.array([t_start]), lambda t: np.repeat(s0.reshape(-1, 1), len(t), 1)
 
     def evaluator(t):
         x = columns(dense(t).reshape(-1, n, len(t)))

@@ -48,6 +48,7 @@ from .generator import (
 from .geodesics import DEFAULT_GEODESIC_RTOL, mbam_chain, mbam_step
 from .harmonics import (DEFAULT_DELTA, DEFAULT_RETAIN, GHModel, JacobianReport, gh_fit,
                         gh_predict, jacobian_report)
+from .svgplot import histogram, line_plot
 
 __all__ = ["Config", "Stage", "load_config", "run_stage", "STAGES", "write_csv",
            "full_vs_reduced", "embed_outputs", "select_coordinates", "GHTrack",
@@ -79,22 +80,21 @@ class Config:
     gh_epsilon_mult: float = 0.5
     train_frac: float = 0.8
     split_seed: int = 1
-    svg: bool = False
 
     def grid(self) -> ObservationGrid:
         return ObservationGrid(self.t_start, self.t_end, self.dt)
 
 
-# the values a config file may give a field of each declared type: a bool is
-# an int to Python, so it is told apart first
-_ACCEPTS = {"int": (int,), "float": (int, float), "bool": (bool,)}
+# the values a config file may give a field of each declared type; a bool is
+# an int to Python, so it is rejected first
+_ACCEPTS = {"int": (int,), "float": (int, float)}
 
 
 def load_config(path: str | None, **overrides) -> Config:
     """Config from a key = value file (JSON-style values), plus overrides.
 
     A file value must match its field's type: an int field takes an int, a
-    float field an int or a float, ``svg`` only true or false.
+    float field an int or a float, and neither takes true or false.
     """
     values: dict = {}
     if path:
@@ -114,8 +114,7 @@ def load_config(path: str | None, **overrides) -> Config:
                 except json.JSONDecodeError:
                     value = raw
                 kind = known[key]
-                if (isinstance(value, bool) != (kind == "bool")
-                        or not isinstance(value, _ACCEPTS[kind])):
+                if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
                     raise DomainError(f"{path}:{lineno}: config key {key!r} takes {kind}, "
                                       f"got {raw}")
                 values[key] = value
@@ -262,19 +261,14 @@ def stage_fim(cfg: Config, st: Stage):
         "effective_dimension": effective_dimension(sp, cfg.fim_cutoff),
         "cutoff": cfg.fim_cutoff,
     })
-    heat = st.path("spectrum_heatmap.csv")
     n = len(sp.param_names)
-    header = ["param"] + [f"mode_{k+1}" for k in range(n)]
-    with open(heat, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write("eigenvalue," + ",".join("%.15g" % v for v in sp.eigenvalues) + "\n")
-        for i, nm in enumerate(sp.param_names):
-            fh.write(nm + "," + ",".join("%.15g" % v for v in part[i]) + "\n")
-    if cfg.svg:
-        from .svgplot import line_plot
-        line_plot(st.path("spectrum.svg"), np.arange(1, n + 1),
-                  {"eigenvalue": sp.eigenvalues}, title="Information spectrum",
-                  xlabel="mode", ylabel="eigenvalue", logy=True, markers=True)
+    with open(st.path("spectrum_heatmap.csv"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["param"] + [f"mode_{k+1}" for k in range(n)]) + "\n")
+        for nm, row in [("eigenvalue", sp.eigenvalues), *zip(sp.param_names, part)]:
+            fh.write(",".join([nm, *map(repr, row.tolist())]) + "\n")
+    line_plot(st.path("spectrum.svg"), np.arange(1, n + 1),
+              {"eigenvalue": sp.eigenvalues}, title="Information spectrum",
+              xlabel="mode", ylabel="eigenvalue", logy=True, markers=True)
     return sp
 
 
@@ -293,11 +287,9 @@ def stage_geodesic(cfg: Config, st: Stage):
     write_json(st.path("geodesic_diagnosis.json"), {
         **asdict(diag), "terminated": trace.terminated,
         "param_names": list(trace.param_names)})
-    if cfg.svg:
-        from .svgplot import line_plot
-        line_plot(st.path("geodesic_trace.svg"), trace.taus,
-                  {nm: trace.thetas[:, i] for i, nm in enumerate(trace.param_names)},
-                  title="Geodesic in log-parameters", xlabel="tau", ylabel="log theta")
+    line_plot(st.path("geodesic_trace.svg"), trace.taus,
+              {nm: trace.thetas[:, i] for i, nm in enumerate(trace.param_names)},
+              title="Geodesic in log-parameters", xlabel="tau", ylabel="log theta")
     return diag
 
 
@@ -358,11 +350,9 @@ def stage_residuals(cfg: Config, st: Stage):
         "ridge_fallbacks": rep.ridge_fallbacks,
     })
     st.extra["ridge_fallbacks"] = rep.ridge_fallbacks
-    if cfg.svg:
-        from .svgplot import line_plot
-        line_plot(st.path("residuals.svg"), np.asarray(rep.indices, dtype=float),
-                  {"residual": rep.residuals}, title="Local-linear regression residuals",
-                  xlabel="eigenvector index", ylabel="r_k", markers=True)
+    line_plot(st.path("residuals.svg"), np.asarray(rep.indices, dtype=float),
+              {"residual": rep.residuals}, title="Local-linear regression residuals",
+              xlabel="eigenvector index", ylabel="r_k", markers=True)
     return sel
 
 
@@ -554,12 +544,10 @@ def stage_ift(cfg: Config, st: Stage):
                     "determinants": rep_inv.determinants.tolist()},
     }
     write_json(st.path("ift.json"), out)
-    if cfg.svg:
-        from .svgplot import histogram
-        histogram(st.path("ift_forward.svg"), rep_fwd.determinants,
-                  title="det J (coords -> params)", xlabel="determinant")
-        histogram(st.path("ift_inverse.svg"), rep_inv.determinants,
-                  title="det J (params -> coords)", xlabel="determinant")
+    histogram(st.path("ift_forward.svg"), rep_fwd.determinants,
+              title="det J (coords -> params)", xlabel="determinant")
+    histogram(st.path("ift_inverse.svg"), rep_inv.determinants,
+              title="det J (params -> coords)", xlabel="determinant")
     return out
 
 
@@ -583,13 +571,14 @@ STAGES = {
     "ensemble": stage_ensemble,
     "fim": stage_fim,
     "geodesic": stage_geodesic,
-    "mbam": stage_mbam,
     "reduced-compare": stage_reduced_compare,
     "dmaps": stage_dmaps,
     "residuals": stage_residuals,
     "gh-fit": stage_gh,
     "ift": stage_ift,
     "compare": stage_compare,
+    # last: no stage reads what it writes, and a ladder that stops raises
+    "mbam": stage_mbam,
 }
 
 
@@ -599,8 +588,8 @@ def run_stage(name: str, cfg: Config, out_dir: str):
     The stage opens as a :class:`Stage` under its :data:`STAGES` key and its
     manifest entry is appended once the function returns; a stage that raised
     appends none, except the ladder's written record of where it diverged.
-    ``"pipeline"`` runs every stage in :data:`STAGES` order and returns the
-    last one's result.
+    ``"pipeline"`` runs every stage in :data:`STAGES` order, the ladder last,
+    and returns the last one's result.
     """
     if name == "pipeline":
         result = None

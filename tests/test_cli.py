@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import glob
@@ -79,11 +80,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("line, key", [
         ("n_samples = 1e3", "n_samples"), ('n_samples = "abc"', "n_samples"),
-        ("dt = x", "dt"), ("seed = true", "seed"), ("svg = 1", "svg"), ("dt = 1", None),
+        ("dt = x", "dt"), ("seed = true", "seed"), ("dt = false", "dt"), ("dt = 1", None),
     ])
     def test_value_types_checked(self, tmp_path, line, key):
-        # an int field takes an int but not a bool, a float field an int or a
-        # float, svg only true or false
+        # an int field takes an int, a float field an int or a float, and
+        # neither takes a bool
         p = tmp_path / "typed.cfg"
         p.write_text(line + "\n")
         if key is None:
@@ -103,6 +104,22 @@ class TestConfig:
                      and node.value.id == "cfg"}
         unread = {f.name for f in dataclasses.fields(Config)} - read
         assert not unread, f"config keys nothing reads as cfg.<key>: {sorted(unread)}"
+
+    def test_every_cli_option_is_read(self):
+        # each subcommand's options must be read as args.<dest>: gh-eval's in
+        # _cmd_gh_eval, a stage's in main, which builds the config from them
+        with open(cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        read = {fn.name: {node.attr for node in ast.walk(fn)
+                          if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                          and node.value.id == "args"}
+                for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        unread = [f"{name} {a.dest}" for name, p in sub.choices.items() for a in p._actions
+                  if a.dest != "help"
+                  and a.dest not in read["_cmd_gh_eval" if name == "gh-eval" else "main"]]
+        assert not unread, f"options nothing reads as args.<dest>: {unread}"
 
     def test_no_unused_imports(self):
         unused = []
@@ -221,13 +238,14 @@ class TestCliStages:
         assert main(["ensemble", "--config", tiny_cfg, "--out", out]) == 0
         _, outputs = read_csv(os.path.join(out, "ensemble_outputs.csv"))
         assert outputs.shape == (64, 606)
-        assert main(["fim", "--config", tiny_cfg, "--out", out, "--svg"]) == 0
+        assert main(["fim", "--config", tiny_cfg, "--out", out]) == 0
         spec = json.load(open(os.path.join(out, "spectrum.json")))
         assert len(spec["eigenvalues"]) == 11
         assert os.path.exists(os.path.join(out, "spectrum.svg"))
         assert main(["dmaps", "--config", tiny_cfg, "--out", out]) == 0
         assert main(["residuals", "--config", tiny_cfg, "--out", out]) == 0
         report = json.load(open(os.path.join(out, "residuals.json")))
+        assert os.path.exists(os.path.join(out, "residuals.svg"))
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         # one entry per stage run, named by its STAGES key
         assert ([s["stage"] for s in manifest["stages"]]
@@ -324,6 +342,12 @@ class TestCliStages:
             spec = json.load(fh)
         np.testing.assert_array_equal(spec["eigenvectors"], nominal_spectrum.eigenvectors)
         np.testing.assert_array_equal(spec["participation"], np.square(spec["eigenvectors"]))
+        # the heatmap holds the same values, row by row, exactly
+        with open(os.path.join(out, "spectrum_heatmap.csv"), encoding="utf-8") as fh:
+            heat = [line.rstrip("\n").split(",") for line in fh][1:]
+        assert [row[0] for row in heat] == ["eigenvalue", *spec["names"]]
+        assert ([[float(v) for v in row[1:]] for row in heat]
+                == [spec["eigenvalues"], *spec["participation"]])
         selected = [1, 2, 4, 5, 7, 9]
         mae = {nm: 0.01 * (i + 1) for i, nm in enumerate(nominal_spectrum.param_names[::-1])}
         write_json(os.path.join(out, "residuals.json"), {"selected": selected})
@@ -361,11 +385,15 @@ class TestCliStages:
         write_json(model_path, obj)
         inputs_path = os.path.join(out, "inputs.csv")
         write_csv(inputs_path, ["x1", "x2"], X[:5])
-        code = main(["gh-eval", "--model", model_path, "--inputs", inputs_path,
-                     "--out", out])
-        assert code == 0
+        argv = ["gh-eval", "--model", model_path, "--inputs", inputs_path, "--out", out]
+        assert main(argv) == 0
         _, pred = read_csv(os.path.join(out, "gh_eval.csv"))
         np.testing.assert_allclose(pred[:, 0], gh_predict(m, X[:5]), rtol=1e-12)
+        # it reads no config, so it takes none of the stages' options
+        for extra in (["--seed", "1"], ["--config", "bad.cfg"], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 2
 
     def test_mbam_forwards_the_geodesic_keys(self, tmp_path, monkeypatch):
         from genident import geodesics
@@ -384,6 +412,29 @@ class TestCliStages:
         manifest = json.load(open(tmp_path / "manifest.json"))
         assert [(s["stage"], [f["path"] for f in s["files"]]) for s in manifest["stages"]] \
             == [("mbam", ["mbam_chain.json"])]
+
+    def test_pipeline_runs_the_ladder_last(self, tmp_path, monkeypatch):
+        # no stage reads what mbam writes, so a ladder that stops raises only
+        # after every other stage has run and been recorded
+        ran = []
+
+        def recorder(name):
+            def stage(cfg, st):
+                ran.append(name)
+                if name == "mbam":
+                    with open(st.path("mbam_chain.json"), "w", encoding="utf-8") as fh:
+                        fh.write("[]\n")
+                    raise ChainDivergenceError("recorded")
+            return stage
+
+        for name in list(pipeline.STAGES):
+            monkeypatch.setitem(pipeline.STAGES, name, recorder(name))
+        with pytest.raises(ChainDivergenceError):
+            pipeline.run_stage("pipeline", Config(), str(tmp_path))
+        assert sorted(ran) == sorted(pipeline.STAGES) and ran[-1] == "mbam"
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert [s["stage"] for s in manifest["stages"]] == ran
+        assert len(ran) == 12
 
 
 def test_cli_and_analytic_track_load_no_scipy_submodule():

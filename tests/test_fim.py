@@ -64,6 +64,19 @@ class TestJacobian:
         e2 = np.abs(central_difference_jacobian(f, x0, 1e-2) - exact).max()
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
 
+    def test_flagged_away_values_come_from_the_point(self):
+        # under tdpp_zero, Tdpp still enters T'_d0 = Tdpp + dTd: the Jacobian at a
+        # point with another Tdpp is not the nominal one, and the map holds that
+        # point's value
+        from genident.fim import SENSITIVITY_RTOL, generator_map
+        flags = LimitFlags(tdpp_zero=True)
+        q = IndependentParams(**{**NOM.__dict__, "Tdpp": 0.03})
+        assert not np.array_equal(sensitivities(q, flags).entries,
+                                  sensitivities(NOM, flags).entries)
+        theta = np.array([getattr(q, nm) for nm in flags.active_params()])
+        want = observe(integrate(q, flags, rtol=SENSITIVITY_RTOL, atol=SENSITIVITY_RTOL))
+        np.testing.assert_array_equal(generator_map(flags, held=q)(np.log(theta))[0], want)
+
     def test_damping_column_has_smallest_norm(self):
         S = sensitivities(NOM)
         norms = np.linalg.norm(S.entries, axis=0)

@@ -234,6 +234,12 @@ class TestEveryFlagSet:
             ed2 = (b["x_q2"] * ed1 + (b["x_q1"] - b["x_q2"]) * 1.09 * np.sin(delta)) / b["x_q1"]
             np.testing.assert_allclose(s[:, 5], ed2, rtol=1e-12)
 
+    @pytest.mark.parametrize("flags", VALID_FLAGS, ids=_flags_id)
+    def test_zero_span_starts_where_a_run_does(self, flags):
+        # the consistent start (angle on the power balance, EMFs slaved), not the raw ics
+        np.testing.assert_array_equal(integrate(NOM, flags, t_end=0.0).at([0.0]),
+                                      integrate(NOM, flags).at([0.0]))
+
     @pytest.mark.parametrize("flags", [f for f in VALID_FLAGS if f.h_zero], ids=_flags_id)
     def test_angle_rate_is_the_implicit_function_derivative(self, flags):
         # d(delta)/dt = -(dP/dx . dx/dt) / (dP/d(delta)), both partials by complex step
