@@ -80,7 +80,7 @@ def main(argv=None) -> int:
                 return EXIT_DISAGREEMENT
         print(f"{args.command}: done -> {args.out}")
         return EXIT_OK
-    except DomainError as exc:
+    except (DomainError, FileNotFoundError) as exc:  # a missing file names itself
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (SolverError, ChainDivergenceError, np.linalg.LinAlgError) as exc:

@@ -1,8 +1,9 @@
 """Geometric-harmonics regression and local-bijectivity (Jacobian) checks.
 
 A Gaussian kernel eigenbasis on the training inputs serves as the function
-basis; out-of-sample values come from the Nystrom extension of each retained
-eigenvector, and the extension formula differentiates in closed form, which is
+basis.  Its Nystrom extension folds into one weight per training point and
+target, w = V diag(sigma)^-1 V^T F, so an out-of-sample value is the kernel sum
+f(x) = sum_i k(x, x_i) w_i, and it differentiates in closed form, which is
 what the determinant checks rely on.
 """
 
@@ -37,8 +38,7 @@ class GHModel:
     training_inputs: np.ndarray  # (N, d)
     epsilon_star: float
     eigenvalues: np.ndarray  # retained sigma_alpha, descending
-    eigenvectors: np.ndarray  # (N, r) orthonormal basis columns
-    coefficients: np.ndarray  # (r, n_targets) projections <f, psi_alpha>
+    weights: np.ndarray  # (N, n_targets) Nystrom weights V diag(sigma)^-1 V^T F
     target_names: tuple[str, ...] | None = None
     target_ndim: int = 2  # rank of the fitted target; gh_predict follows it
 
@@ -92,12 +92,11 @@ def gh_fit(inputs: np.ndarray, targets: np.ndarray, epsilon_star: float | None =
     if not np.all(keep):
         warnings.warn(f"dropped {int((~keep).sum())} eigenpair(s) below the "
                       f"delta * sigma_0 floor")
-    # C order, as a model read back from JSON has: the Nystrom sum divides by
-    # eigenvalues down to delta * sigma_0, which amplifies the last-bit
-    # differences that another memory layout gives the BLAS product
+    # C order, as the basis of an older model file reads back: the weights
+    # folded from such a file then equal these bit for bit
     vals, vecs = vals[keep], np.ascontiguousarray(vecs[:, keep])
-    coeff = vecs.T @ F
-    return GHModel(X.copy(), float(epsilon_star), vals, vecs, coeff,
+    weights = (vecs / vals) @ (vecs.T @ F)
+    return GHModel(X.copy(), float(epsilon_star), vals, weights,
                    target_names=tuple(target_names) if target_names else None,
                    target_ndim=target_ndim)
 
@@ -120,9 +119,8 @@ def gh_predict(m: GHModel, x_new: np.ndarray) -> np.ndarray:
     The output rank follows the fitted target's: (m,) for a 1-D target, else
     (m, n_targets); a single 1-D point drops the leading axis.
     """
-    X, K = _kernel_to_training(m, x_new)
-    psi_ext = K @ (m.eigenvectors / m.eigenvalues[None, :])
-    out = psi_ext @ m.coefficients
+    _, K = _kernel_to_training(m, x_new)
+    out = K @ m.weights
     if m.target_ndim == 1:
         out = out[:, 0]
     return out[0] if np.asarray(x_new).ndim == 1 else out
@@ -138,18 +136,15 @@ def distance_to_training(m: GHModel, x_new: np.ndarray) -> np.ndarray:
 def gh_gradient(m: GHModel, x_new: np.ndarray) -> np.ndarray:
     """Closed-form gradient of the extension at new points.
 
-    Differentiating the kernel in the Nystrom formula gives, per retained
-    basis function, a weighted sum of (training_point - x) displacement
-    vectors; shape is (d, n_targets) for a single point, else
-    (m, d, n_targets).
+    Differentiating the kernel in the Nystrom sum gives, per target, a
+    weighted sum of (training_point - x) displacement vectors; shape is
+    (d, n_targets) for a single point, else (m, d, n_targets).
     """
     single = np.asarray(x_new).ndim == 1
     X, K = _kernel_to_training(m, x_new)
     diff = m.training_inputs[None, :, :] - X[:, None, :]  # (m, N, d)
     wk = K[:, :, None] * diff / m.epsilon_star  # (m, N, d)
-    psi_grad = np.einsum("mnd,nr->mdr", wk, m.eigenvectors / m.eigenvalues[None, :],
-                         optimize=True)
-    grad = psi_grad @ m.coefficients  # (m, d, n_targets)
+    grad = np.einsum("mnd,nt->mdt", wk, m.weights, optimize=True)
     return grad[0] if single else grad
 
 
@@ -157,7 +152,7 @@ def jacobian_report(m: GHModel, points: np.ndarray) -> JacobianReport:
     """Jacobian determinants of a square map at each point, plus sign consistency."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     d = m.training_inputs.shape[1]
-    t = m.coefficients.shape[1]
+    t = m.weights.shape[1]
     if d != t:
         raise DomainError(f"Jacobian check needs a square map, got {d} -> {t}")
     grads = gh_gradient(m, X)  # (m, d, d)

@@ -15,7 +15,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy
@@ -86,7 +86,7 @@ class Config:
 
 
 # the values a config file may give a field of each declared type; a bool is
-# an int to Python, so it is rejected first
+# an int to Python, so it is rejected first, and NaN or an infinity after
 _ACCEPTS = {"int": (int,), "float": (int, float)}
 
 
@@ -94,7 +94,7 @@ def load_config(path: str | None, **overrides) -> Config:
     """Config from a key = value file (JSON-style values), plus overrides.
 
     A file value must match its field's type: an int field takes an int, a
-    float field an int or a float, and neither takes true or false.
+    float field a finite int or float, and neither takes true or false.
     """
     values: dict = {}
     if path:
@@ -114,9 +114,10 @@ def load_config(path: str | None, **overrides) -> Config:
                 except json.JSONDecodeError:
                     value = raw
                 kind = known[key]
-                if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
-                    raise DomainError(f"{path}:{lineno}: config key {key!r} takes {kind}, "
-                                      f"got {raw}")
+                if (isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind])
+                        or (isinstance(value, float) and not np.isfinite(value))):
+                    raise DomainError(f"{path}:{lineno}: config key {key!r} takes a "
+                                      f"finite {kind}, got {raw}")
                 values[key] = value
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
@@ -180,7 +181,7 @@ class Stage:
         self.files: list[str] = []
         self.extra: dict = {}
         os.makedirs(out_dir, exist_ok=True)
-        self._t0 = time.time()
+        self._t0 = time.monotonic()
 
     def path(self, filename: str) -> str:
         p = os.path.join(self.out_dir, filename)
@@ -197,7 +198,7 @@ class Stage:
             "stage": self.name,
             "config": asdict(self.cfg),
             "seeds": {"ensemble": self.cfg.seed, "split": self.cfg.split_seed},
-            "wall_clock_s": round(time.time() - self._t0, 3),
+            "wall_clock_s": round(time.monotonic() - self._t0, 3),
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -373,8 +374,7 @@ def _gh_model_json(model, selected, train_idx, test_idx) -> dict:
         "training_inputs": model.training_inputs.tolist(),
         "epsilon_star": model.epsilon_star,
         "eigenvalues": model.eigenvalues.tolist(),
-        "eigenvectors": model.eigenvectors.tolist(),
-        "coefficients": model.coefficients.tolist(),
+        "weights": model.weights.tolist(),
         "target_names": list(model.target_names or ()),
         "target_ndim": model.target_ndim,
         "selected_coordinates": list(selected),
@@ -384,16 +384,17 @@ def _gh_model_json(model, selected, train_idx, test_idx) -> dict:
 
 
 def gh_model_from_json(obj) -> GHModel:
-    """The model of :func:`_gh_model_json`; keys it does not name are ignored."""
-    return GHModel(
-        np.asarray(obj["training_inputs"], dtype=float),
-        float(obj["epsilon_star"]),
-        np.asarray(obj["eigenvalues"], dtype=float),
-        np.asarray(obj["eigenvectors"], dtype=float),
-        np.asarray(obj["coefficients"], dtype=float),
-        target_names=tuple(obj.get("target_names") or ()) or None,
-        target_ndim=int(obj.get("target_ndim", 2)),
-    )
+    """The model of :func:`_gh_model_json`; keys it does not name are ignored.
+
+    An older file holds the basis V and projections C, folded here as (V / sigma) @ C.
+    """
+    vals = np.asarray(obj["eigenvalues"], dtype=float)
+    weights = (np.asarray(obj["weights"], dtype=float) if "weights" in obj else
+               (np.asarray(obj["eigenvectors"], dtype=float) / vals)
+               @ np.asarray(obj["coefficients"], dtype=float))
+    return GHModel(np.asarray(obj["training_inputs"], dtype=float), float(obj["epsilon_star"]),
+                   vals, weights, target_names=tuple(obj.get("target_names") or ()) or None,
+                   target_ndim=int(obj.get("target_ndim", 2)))
 
 
 def full_vs_reduced(cfg: Config, times) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
@@ -491,8 +492,7 @@ def square_ift_reports(forward: GHModel, forward_mae: dict, params01: np.ndarray
     d = forward.training_inputs.shape[1]
     identifiable = sorted(forward_mae, key=forward_mae.get)[:d]
     id_cols = [PARAM_NAMES.index(nm) for nm in identifiable]
-    fwd_sq = GHModel(forward.training_inputs, forward.epsilon_star, forward.eigenvalues,
-                     forward.eigenvectors, forward.coefficients[:, id_cols],
+    fwd_sq = replace(forward, weights=forward.weights[:, id_cols],
                      target_names=tuple(identifiable))
     inv_sq = gh_fit(params01[train][:, id_cols], coords01[train],
                     retain=cfg.gh_retain, delta=cfg.gh_delta,

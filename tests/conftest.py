@@ -127,6 +127,26 @@ def full_model_geodesic(mbam_chain_result, nominal_spectrum):
 
 
 @pytest.fixture(scope="session")
+def gh_basis():
+    """The retained kernel basis of a GH model, from the eigen-solve gh_fit makes.
+
+    A model keeps only its Nystrom weights; called as ``basis(m, retain)`` with
+    the ``retain`` it was fitted with, this gives back the orthonormal columns
+    those weights were folded from.
+    """
+    import numpy as np
+    from genident.dmaps import pairwise_sq_dists, top_eigenpairs
+
+    def basis(m, retain):
+        X = m.training_inputs
+        W = np.exp(pairwise_sq_dists(X) / (-2.0 * m.epsilon_star))
+        _, vecs = top_eigenpairs(W, min(retain, X.shape[0]))
+        return vecs[:, :m.n_retained]
+
+    return basis
+
+
+@pytest.fixture(scope="session")
 def gh_track(ensemble_2000, dmaps_track):
     """Both geometric-harmonics regressions plus test-set errors."""
     from genident.pipeline import Config, fit_gh_track

@@ -81,9 +81,10 @@ class TestConfig:
     @pytest.mark.parametrize("line, key", [
         ("n_samples = 1e3", "n_samples"), ('n_samples = "abc"', "n_samples"),
         ("dt = x", "dt"), ("seed = true", "seed"), ("dt = false", "dt"), ("dt = 1", None),
+        ("fim_cutoff = NaN", "fim_cutoff"), ("train_frac = Infinity", "train_frac"),
     ])
     def test_value_types_checked(self, tmp_path, line, key):
-        # an int field takes an int, a float field an int or a float, and
+        # an int field takes an int, a float field a finite int or float, and
         # neither takes a bool
         p = tmp_path / "typed.cfg"
         p.write_text(line + "\n")
@@ -363,18 +364,31 @@ class TestCliStages:
         write_json(os.path.join(out, "spectrum.json"), spec)
         assert main(["compare", "--config", tiny_cfg, "--out", out]) == 2
 
+    @pytest.mark.parametrize("argv, missing", [
+        (["fim", "--config", "missing.cfg"], "missing.cfg"),
+        (["gh-eval", "--model", "missing.json", "--inputs", "rows.csv"], "missing.json"),
+        (["ift"], "gh_forward.json"),
+    ])
+    def test_missing_input_file_exits_2(self, tmp_path, monkeypatch, capsys, argv, missing):
+        # a missing input is a precondition violation: one line naming the file
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", str(tmp_path / "empty")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and missing in err and "Traceback" not in err
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus = 1\n")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
-    def test_gh_eval_roundtrip(self, tmp_path):
+    def test_gh_eval_roundtrip(self, tmp_path, gh_basis):
         # minimal hand-built model file exercises the stored-model interface
         rng = np.random.default_rng(0)
         X = rng.uniform(0, 1, (80, 2))
         y = X[:, 0] + 0.5 * X[:, 1]
         from genident.harmonics import gh_fit, gh_predict
-        from genident.pipeline import _gh_model_json, write_json, write_csv
+        from genident.pipeline import (_gh_model_json, gh_model_from_json, read_json,
+                                       write_csv, write_json)
         m = gh_fit(X, y, retain=40, target_names=("f",))
         out = str(tmp_path / "run")
         os.makedirs(out)
@@ -383,9 +397,24 @@ class TestCliStages:
         # older model files also carry the training rescaling's column ranges
         obj["output_scaling"] = [[0.0, 0.0], [1.0, 1.0]]
         write_json(model_path, obj)
+        # the file holds the (N, n_targets) Nystrom weights and not the basis,
+        # and the model read back predicts bit for bit what was fitted
+        stored = read_json(model_path)
+        assert np.shape(stored["weights"]) == (80, 1)
+        assert "eigenvectors" not in stored and "coefficients" not in stored
+        assert gh_predict(gh_model_from_json(stored), X).tobytes() == gh_predict(m, X).tobytes()
         inputs_path = os.path.join(out, "inputs.csv")
         write_csv(inputs_path, ["x1", "x2"], X[:5])
         argv = ["gh-eval", "--model", model_path, "--inputs", inputs_path, "--out", out]
+        assert main(argv) == 0
+        _, pred = read_csv(os.path.join(out, "gh_eval.csv"))
+        np.testing.assert_allclose(pred[:, 0], gh_predict(m, X[:5]), rtol=1e-12)
+        # files written before models held their Nystrom weights store the
+        # basis and its projections instead, and still predict the same
+        V = np.ascontiguousarray(gh_basis(m, 40))  # in the layout older files were written from
+        del obj["weights"]
+        obj["eigenvectors"], obj["coefficients"] = V.tolist(), (V.T @ y[:, None]).tolist()
+        write_json(model_path, obj)
         assert main(argv) == 0
         _, pred = read_csv(os.path.join(out, "gh_eval.csv"))
         np.testing.assert_allclose(pred[:, 0], gh_predict(m, X[:5]), rtol=1e-12)

@@ -123,7 +123,7 @@ class TestDmaps:
         y = np.sin(3 * x)
         g, h = gh_fit(x, y, retain=20), gh_fit(x, y, retain=20)
         assert g.eigenvalues.tobytes() == h.eigenvalues.tobytes()
-        assert g.coefficients.tobytes() == h.coefficients.tobytes()
+        assert g.weights.tobytes() == h.weights.tobytes()
 
     def test_eigsh_path_matches_the_dense_subset_solve(self):
         # the same 3100-row kernel: ARPACK against scipy's dense subset eigh
