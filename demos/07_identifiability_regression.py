@@ -29,8 +29,8 @@ print("\ntest MAE per parameter (rescaled units), sorted:")
 for nm in sorted(mae, key=mae.get):
     print(f"  {nm:5s} {mae[nm]:.4f}")
 
-identifiable, rf, ri = square_ift_reports(track.forward, mae, track.params01, track.coords01,
-                                          track.train, track.test, cfg)
+identifiable, rf, ri, _ = square_ift_reports(track.forward, mae, track.params01,
+                                             track.coords01, track.train, track.test, cfg)
 print("\nidentifiable set by regression error:", sorted(identifiable))
 print(f"\ncoords -> params: sign-consistent={rf.sign_consistent}, "
       f"min|det|={rf.min_abs:.2e}")

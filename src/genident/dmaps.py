@@ -128,19 +128,22 @@ def median_epsilon(rows: np.ndarray, multiplier: float = 1.0) -> float:
 def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenpairs of a symmetric matrix, in descending order.
 
-    Large matrices with few wanted pairs go to ARPACK, started from a fixed,
-    seeded vector so that reruns are byte-identical; the rest take a dense
-    subset solve.
+    Up to 3000 rows, or with a quarter of the pairs or more wanted, numpy's
+    full ``eigh`` solves the matrix and the top k are kept.  That keeps
+    scipy's LAPACK out of the process: it brings a second OpenBLAS, whose
+    threads slow numpy's matrix products after it.  At 600 rows the full
+    solve is also faster than scipy's subset solve; at 2000 rows, for a few
+    dozen pairs, it is slower.  Larger matrices go to ARPACK, started from a
+    fixed, seeded vector so that reruns are byte-identical.
     """
-    import scipy.linalg  # imported here: the analytic track and the ensemble need no scipy
-    import scipy.sparse.linalg
-
     n = A.shape[0]
-    if n > 3000 and k < n // 4:
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, which="LA", v0=v0)
-    else:
-        vals, vecs = scipy.linalg.eigh(A, subset_by_index=(n - k, n - 1))
+    if n <= 3000 or k >= n // 4:
+        vals, vecs = np.linalg.eigh(A)
+        return vals[::-1][:k], vecs[:, ::-1][:, :k]
+    import scipy.sparse.linalg  # here: below 3000 rows the data track needs no scipy
+
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, which="LA", v0=v0)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 

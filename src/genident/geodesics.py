@@ -68,6 +68,12 @@ MAX_CONTRACTIONS = 2000
 #: default step-control tolerance (rtol) of trace_geodesic
 DEFAULT_GEODESIC_RTOL = 1e-6
 
+#: tightest rtol mbam_step takes: the generator's contraction is differenced
+#: from model-map solves, and against that noise a tighter error control makes
+#: the trace crawl (at 1e-8 a ladder stage is at 4x its launch speed, far from
+#: the boundary, after MAX_CONTRACTIONS)
+MIN_GEODESIC_RTOL = 1e-7
+
 
 @dataclass(frozen=True)
 class GeodesicTrace:
@@ -271,10 +277,18 @@ def mbam_step(flags: LimitFlags = LimitFlags(), grid: ObservationGrid = DEFAULT_
     over an arc budget of ten times the square root of the smallest
     eigenvalue, turning round once if the first orientation runs that budget
     out.  Returns the boundary diagnosis, the flag set with the diagnosed limit
-    applied, and the trace.  A diagnosis that no limit flag can apply (a
-    parameter going to infinity, a parameter with no limit, or a flag set
-    that fails validation) raises :class:`ChainDivergenceError`.
+    applied, and the trace.  An ``rtol`` that fails
+    :func:`~genident.dopri.check_rtol`, or lies below
+    :data:`MIN_GEODESIC_RTOL`, raises :class:`DomainError` before anything is
+    solved.  A diagnosis that no limit flag can apply (a parameter going to
+    infinity, a parameter with no limit, or a flag set that fails validation)
+    raises :class:`ChainDivergenceError`.
     """
+    check_rtol(rtol, "geodesic rtol")
+    if rtol < MIN_GEODESIC_RTOL:
+        raise DomainError(f"geo_rtol must be at least {MIN_GEODESIC_RTOL:g} for the "
+                          f"generator's geodesic, got {rtol!r}: its differenced "
+                          "contraction is too noisy for a tighter step control")
     if flags == LimitFlags.all():
         raise DomainError("no reduction limits remain")
     nominal = IndependentParams.nominal()

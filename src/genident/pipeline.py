@@ -479,15 +479,15 @@ def fit_gh_track(params: np.ndarray, coords: np.ndarray, selected, cfg: Config) 
 
 def square_ift_reports(forward: GHModel, forward_mae: dict, params01: np.ndarray,
                        coords01: np.ndarray, train: np.ndarray, test: np.ndarray,
-                       cfg: Config) -> tuple[list[str], JacobianReport, JacobianReport]:
+                       cfg: Config) -> tuple[list[str], JacobianReport, JacobianReport, GHModel]:
     """Jacobian-determinant (local bijectivity) reports of the two square maps.
 
     The identifiable parameters are the d with the smallest forward test
     error, d being the number of coordinates.  ``params01`` and ``coords01``
     are the [0, 1]-rescaled rows of :class:`GHTrack`.  Coordinates -> those
     parameters keeps their columns of the forward model; those parameters ->
-    coordinates is fitted afresh on the training rows.  Both are checked on
-    the test rows.
+    coordinates is fitted afresh on the training rows, and that model comes
+    back last.  Both are checked on the test rows.
     """
     d = forward.training_inputs.shape[1]
     identifiable = sorted(forward_mae, key=forward_mae.get)[:d]
@@ -498,7 +498,7 @@ def square_ift_reports(forward: GHModel, forward_mae: dict, params01: np.ndarray
                     retain=cfg.gh_retain, delta=cfg.gh_delta,
                     epsilon_mult=cfg.gh_epsilon_mult)
     return (identifiable, jacobian_report(fwd_sq, coords01[test]),
-            jacobian_report(inv_sq, params01[test][:, id_cols]))
+            jacobian_report(inv_sq, params01[test][:, id_cols]), inv_sq)
 
 
 def _selected_data(out_dir: str, selected) -> tuple[np.ndarray, np.ndarray]:
@@ -509,10 +509,18 @@ def _selected_data(out_dir: str, selected) -> tuple[np.ndarray, np.ndarray]:
     return params[rows[:, 0].astype(int)], emb_data[:, list(selected)]
 
 
+def _eigenpairs(model: GHModel, cfg: Config) -> dict[str, int]:
+    """The kernel eigenpairs a fit on ``cfg`` kept, and those below its delta * sigma_0 floor."""
+    asked = min(cfg.gh_retain, model.training_inputs.shape[0])
+    return {"retained": model.n_retained, "dropped": asked - model.n_retained}
+
+
 def stage_gh(cfg: Config, st: Stage):
     """Fit both regression directions and report per-parameter test errors."""
     sel = read_json(os.path.join(st.out_dir, "residuals.json"))["selected"]
     track = fit_gh_track(*_selected_data(st.out_dir, sel), sel, cfg)
+    st.extra["eigenpairs"] = {"forward": _eigenpairs(track.forward, cfg),
+                              "inverse": _eigenpairs(track.inverse, cfg)}
     write_json(st.path("gh_forward.json"),
                _gh_model_json(track.forward, sel, track.train, track.test))
     write_json(st.path("gh_inverse.json"),
@@ -530,10 +538,11 @@ def stage_ift(cfg: Config, st: Stage):
     fwd_obj = read_json(os.path.join(st.out_dir, "gh_forward.json"))
     mae = read_json(os.path.join(st.out_dir, "gh_mae.json"))["forward_mae"]
     params, coords = _selected_data(st.out_dir, fwd_obj["selected_coordinates"])
-    identifiable, rep_fwd, rep_inv = square_ift_reports(
+    identifiable, rep_fwd, rep_inv, inv_sq = square_ift_reports(
         gh_model_from_json(fwd_obj), mae, rescale01(params), rescale01(coords),
         np.asarray(fwd_obj["train_rows"], dtype=int),
         np.asarray(fwd_obj["test_rows"], dtype=int), cfg)
+    st.extra["eigenpairs"] = {"inverse_square": _eigenpairs(inv_sq, cfg)}
     out = {
         "identifiable_parameters": identifiable,
         "forward": {"sign_consistent": rep_fwd.sign_consistent,

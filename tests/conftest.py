@@ -161,6 +161,6 @@ def ift_reports(gh_track):
     """Jacobian-determinant reports for the two square regression maps."""
     from genident.pipeline import Config, square_ift_reports
     t = gh_track
-    _, fwd, inv = square_ift_reports(t.forward, t.forward_mae, t.params01, t.coords01,
-                                     t.train, t.test, Config())
+    _, fwd, inv, _ = square_ift_reports(t.forward, t.forward_mae, t.params01, t.coords01,
+                                        t.train, t.test, Config())
     return fwd, inv

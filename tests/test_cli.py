@@ -5,9 +5,11 @@ import glob
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +259,36 @@ class TestCliStages:
         assert [parser.parse_args([name]).command for name in pipeline.STAGES] \
             == list(pipeline.STAGES)
 
+    def test_gh_stages_record_their_eigenpairs(self, small_run, tmp_path):
+        # gh-fit and ift write, per model they fit, the kernel eigenpairs kept and
+        # those below the delta * sigma_0 floor; the warning still names the latter
+        cfg_path, out = small_run
+        run = str(tmp_path / "run")
+        shutil.copytree(out, run)
+        floor = tmp_path / "floor.cfg"  # a floor high enough to drop some at 64 rows
+        with open(cfg_path, encoding="utf-8") as fh:
+            floor.write_text(fh.read() + "gh_delta = 1e-4\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for stage in ("gh-fit", "ift"):
+                assert main([stage, "--config", str(floor), "--out", run]) == 0
+        with open(os.path.join(run, "manifest.json"), encoding="utf-8") as fh:
+            entries = {s["stage"]: s for s in json.load(fh)["stages"]}
+        fitted = entries["gh-fit"]["eigenpairs"]
+        fits = [fitted["forward"], fitted["inverse"],
+                entries["ift"]["eigenpairs"]["inverse_square"]]
+        for name, counts in (("gh_forward.json", fitted["forward"]),
+                             ("gh_inverse.json", fitted["inverse"])):
+            with open(os.path.join(run, name), encoding="utf-8") as fh:
+                model = json.load(fh)
+            assert counts["retained"] == len(model["eigenvalues"])
+        asked = min(load_config(str(floor)).gh_retain, len(model["train_rows"]))
+        assert all(f["retained"] + f["dropped"] == asked for f in fits)
+        warned = [int(m.group(1)) for w in caught
+                  if (m := re.match(r"dropped (\d+) eigenpair", str(w.message)))]
+        assert warned == [f["dropped"] for f in fits if f["dropped"]]
+        assert warned  # the counts are not all zero
+
     def test_simulate_takes_a_dt_that_does_not_divide_t_end(self, tmp_path):
         cfg = tmp_path / "dt.cfg"
         cfg.write_text("dt = 0.03\n")
@@ -331,6 +363,22 @@ class TestCliStages:
         codes = [main([stage, "--config", str(cfg), "--out", out]) for stage in stages]
         assert codes[-1] == 2 and set(codes[:-1]) <= {0}
         assert "must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["geodesic", "mbam"])
+    def test_geo_rtol_below_the_contraction_noise_exits_2(self, tmp_path, monkeypatch,
+                                                          capsys, stage):
+        # at a tighter geo_rtol the geodesic would crawl for 80-90 s to a failure;
+        # it is refused before the first sensitivity solve
+        from genident import geodesics
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the model was solved")
+
+        monkeypatch.setattr(geodesics, "sensitivities", solve)
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("geo_rtol = 1e-8\n")
+        assert main([stage, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "geo_rtol must be at least 1e-07" in capsys.readouterr().err
 
     def test_compare_reads_the_spectrum_fim_wrote(self, tmp_path, tiny_cfg, nominal_spectrum):
         # the fim stage writes the signed modes, and compare builds its spectrum from
@@ -466,15 +514,29 @@ class TestCliStages:
         assert len(ran) == 12
 
 
+def _modules_loaded(lines) -> list[str]:
+    """Every module name a fresh interpreter holds after running ``lines``."""
+    code = "\n".join(["import sys", "import numpy as np", *lines,
+                      "print(' '.join(sorted(sys.modules)))"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def _assert_no_heavy_scipy(loaded) -> None:
+    assert "scipy" in loaded  # the version stamp; the check below is not vacuous
+    heavy = [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize",
+                                                 "scipy.linalg", "scipy.sparse"))]
+    assert not heavy, f"scipy submodules loaded: {heavy}"
+
+
 def test_cli_and_analytic_track_load_no_scipy_submodule():
     # in a fresh interpreter: the CLI, the model map, a sensitivity Jacobian, a
     # geodesic contraction and a geodesic traced to its boundary (on the
     # exp-sum toy) load no scipy submodule; the bare scipy import for the
-    # manifest's version stamp is allowed.  Eigensolves import what they need
-    # when they run
-    code = "\n".join([
-        "import sys",
-        "import numpy as np",
+    # manifest's version stamp is allowed
+    _assert_no_heavy_scipy(_modules_loaded([
         "import genident.cli",
         "from genident.fim import central_difference_jacobian, generator_map, sensitivities",
         "from genident.generator import IndependentParams, LimitFlags, integrate",
@@ -493,13 +555,21 @@ def test_cli_and_analytic_track_load_no_scipy_submodule():
         "v0 = np.sign(U[1, 0]) * U[:, 0] / np.sqrt(lam[0])",
         "tr = trace_geodesic(toy, x0, v0, tau_max=10 * np.sqrt(lam[0]))",
         "assert tr.terminated == 'boundary', tr.terminated",
-        "print(' '.join(sorted(sys.modules)))",
-    ])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(ROOT, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True).stdout.split()
-    assert "scipy" in loaded  # the version stamp; the check below is not vacuous
-    heavy = [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize",
-                                                 "scipy.linalg", "scipy.sparse"))]
-    assert not heavy, f"scipy submodules loaded: {heavy}"
+    ]))
+
+
+def test_data_track_below_3000_rows_loads_no_scipy_submodule():
+    # the diffusion map, the residuals, a geometric-harmonics fit and its
+    # Jacobian check on 200 rows: the kernel eigensolves take numpy's eigh, and
+    # only ARPACK, above 3000 rows, brings in scipy.sparse
+    _assert_no_heavy_scipy(_modules_loaded([
+        "from genident.dmaps import local_linear_residuals",
+        "from genident.harmonics import gh_fit, jacobian_report",
+        "from genident.pipeline import Config, embed_outputs",
+        "x = np.random.default_rng(0).uniform(0, 1, (200, 2))",
+        "outputs = np.column_stack([x, np.sin(3 * x), x[:, :1] * x[:, 1:]])",
+        "emb = embed_outputs(outputs, Config(dmaps_k=8))",
+        "local_linear_residuals(emb.eigenvectors)",
+        "m = gh_fit(x, np.column_stack([x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]]), retain=100)",
+        "jacobian_report(m, x[:20])",
+    ]))

@@ -126,17 +126,22 @@ class TestDmaps:
         assert g.weights.tobytes() == h.weights.tobytes()
 
     def test_eigsh_path_matches_the_dense_subset_solve(self):
-        # the same 3100-row kernel: ARPACK against scipy's dense subset eigh
-        x = np.random.default_rng(5).uniform(0, 1, (3100, 3))
-        W = np.exp(pairwise_sq_dists(x) / (-2.0 * median_epsilon(x)))
-        n = W.shape[0]
-        ref_vals, ref_vecs = scipy.linalg.eigh(W, subset_by_index=(n - 20, n - 1))
-        ref_vals, ref_vecs = ref_vals[::-1], ref_vecs[:, ::-1]
-        for k in (10, 20):
-            vals, vecs = top_eigenpairs(W, k)
-            assert np.max(np.abs(vals - ref_vals[:k]) / ref_vals[:k]) < 1e-10
-            cos = np.abs(np.sum(vecs * ref_vecs[:, :k], axis=0))
-            assert np.max(1.0 - cos) < 1e-10
+        # scipy's dense subset eigh is the reference: for ARPACK on the same
+        # 3100-row kernel, and for numpy's full eigh on a 300-row one.  The
+        # bound is relative, so the 300-row kernel is narrow enough that its
+        # 150th eigenvalue stays far above rounding (with the median scale it
+        # is 1e-8 of the first, and the two solvers part at 1e-6 there)
+        for n, mult, ks in ((3100, 1.0, (10, 20)), (300, 0.05, (10, 150))):
+            x = np.random.default_rng(5).uniform(0, 1, (n, 3))
+            W = np.exp(pairwise_sq_dists(x) / (-2.0 * median_epsilon(x, mult)))
+            ref_vals, ref_vecs = scipy.linalg.eigh(W, subset_by_index=(n - ks[-1], n - 1))
+            ref_vals, ref_vecs = ref_vals[::-1], ref_vecs[:, ::-1]
+            for k in ks:
+                vals, vecs = top_eigenpairs(W, k)
+                assert vals.shape == (k,) and vecs.shape == (n, k)
+                assert np.max(np.abs(vals - ref_vals[:k]) / ref_vals[:k]) < 1e-10
+                cos = np.abs(np.sum(vecs * ref_vecs[:, :k], axis=0))
+                assert np.max(1.0 - cos) < 1e-10
 
     def test_epsilon_and_k_preconditions(self):
         X = np.random.default_rng(8).uniform(0, 1, (20, 2))
