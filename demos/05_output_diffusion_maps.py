@@ -14,18 +14,18 @@ leave-one-out residuals grind through every eigenvector.
 import numpy as np
 
 from genident.ensemble import run_ensemble, sample_ensemble
-from genident.pipeline import Config, embed_outputs, select_coordinates
+from genident.pipeline import DMAPS_EPSILON_MULT, Config, embed_outputs, select_coordinates
 from genident.svgplot import line_plot
 
 cfg = Config()
-params = sample_ensemble(cfg.n_samples, cfg.perturbation, cfg.seed)
+params = sample_ensemble(cfg.n_samples, seed=cfg.seed)
 run = run_ensemble(params, workers=cfg.workers)
 print(f"simulated {run.outputs.shape[0]} members, "
       f"{run.outputs.shape[1]} observations each")
 
 emb = embed_outputs(run.outputs, cfg)
 print(f"kernel scale epsilon = {emb.epsilon:.1f} "
-      f"({cfg.dmaps_epsilon_mult} x median squared pairwise distance)")
+      f"({DMAPS_EPSILON_MULT} x median squared pairwise distance)")
 
 rep, sel = select_coordinates(emb.eigenvectors, cfg)
 

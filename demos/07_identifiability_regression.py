@@ -15,7 +15,7 @@ from genident.pipeline import (Config, embed_outputs, fit_gh_track, select_coord
                                square_ift_reports)
 
 cfg = Config()
-params = sample_ensemble(cfg.n_samples, cfg.perturbation, cfg.seed)
+params = sample_ensemble(cfg.n_samples, seed=cfg.seed)
 run = run_ensemble(params, workers=cfg.workers)
 params = params[run.row_indices]
 

@@ -23,6 +23,7 @@ __all__ = [
     "rescale01",
     "median_epsilon",
     "pairwise_sq_dists",
+    "gaussian_kernel",
     "dmaps",
     "local_linear_residuals",
     "select_nonharmonic",
@@ -97,15 +98,28 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     return d2
 
 
+def gaussian_kernel(d2: np.ndarray, epsilon: float) -> np.ndarray:
+    """The Gaussian kernel exp(-d^2 / 2 epsilon) of squared distances, written over ``d2``."""
+    d2 /= -2.0 * epsilon
+    return np.exp(d2, out=d2)
+
+
+def _middle_pairs(d2: np.ndarray, iu: tuple) -> np.ndarray:
+    """The one or two middle values of the pairs ``d2[iu]``: their mean is the median."""
+    pairs = d2[iu]
+    half = pairs.size // 2
+    middle = [half] if pairs.size % 2 else [half - 1, half]
+    pairs.partition(middle)
+    return pairs[middle]
+
+
 def _median_offdiag_sq(x: np.ndarray, seed: int = 0) -> float:
     n = x.shape[0]
     if n > _MEDIAN_SUBSAMPLE:
         rng = np.random.default_rng(seed)
         x = x[rng.choice(n, _MEDIAN_SUBSAMPLE, replace=False)]
         n = _MEDIAN_SUBSAMPLE
-    d2 = pairwise_sq_dists(x)
-    iu = np.triu_indices(n, k=1)
-    return float(np.median(d2[iu]))
+    return float(np.mean(_middle_pairs(pairwise_sq_dists(x), np.triu_indices(n, k=1))))
 
 
 def median_epsilon(rows: np.ndarray, multiplier: float = 1.0) -> float:
@@ -166,14 +180,12 @@ def dmaps(rows: np.ndarray, epsilon: float, k: int = 26) -> DMapsEmbedding:
     if not 1 <= k < n:
         raise DomainError("need 1 <= k < N eigenpairs")
 
-    A = pairwise_sq_dists(rows)
-    A /= -2.0 * epsilon
-    np.exp(A, out=A)
-    off_mass = A.sum(axis=1) - 1.0  # diagonal of the Gaussian kernel is 1
+    A = gaussian_kernel(pairwise_sq_dists(rows), epsilon)
+    p = A.sum(axis=1)
+    off_mass = p - 1.0  # diagonal of the Gaussian kernel is 1
     if np.any(off_mass < 1e-300):
         raise SolverError("kernel graph is disconnected at this epsilon "
                           f"(weakest row mass {off_mass.min():.3e})")
-    p = A.sum(axis=1)
     A /= p[:, None]
     A /= p[None, :]
     d = A.sum(axis=1)
@@ -200,16 +212,11 @@ def _weights(pred: np.ndarray, bandwidth_mult: float, iu: tuple) -> np.ndarray:
     d2 = pairwise_sq_dists(pred)
     # the median of the distances, without a square root of every pair: sqrt
     # is monotone, so the middle ranks of d^2 are the middle ranks of d
-    pairs = d2[iu]
-    half = pairs.size // 2
-    middle = [half] if pairs.size % 2 else [half - 1, half]
-    pairs.partition(middle)
-    med = float(np.mean(np.sqrt(pairs[middle])))
+    med = float(np.mean(np.sqrt(_middle_pairs(d2, iu))))
     if med == 0.0:
         raise DomainError("coincident predictor coordinates")
     sigma = bandwidth_mult * med
-    d2 /= -sigma**2
-    w = np.exp(d2, out=d2)
+    w = gaussian_kernel(d2, sigma**2 / 2)  # exp(-d^2 / sigma^2)
     np.fill_diagonal(w, 0.0)  # leave-one-out
     return w
 

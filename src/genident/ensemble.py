@@ -27,6 +27,7 @@ __all__ = [
     "sample_ensemble",
     "run_ensemble",
     "compare_tracks",
+    "lowest_error_parameters",
 ]
 
 # rows integrated per shared-step solve; fixed so results do not depend on the
@@ -146,6 +147,11 @@ def run_ensemble(params: np.ndarray, grid: ObservationGrid = DEFAULT_GRID,
     return EnsembleRun(outputs, np.asarray(rows, dtype=int), tuple(failures))
 
 
+def lowest_error_parameters(test_mae: Mapping[str, float], d: int) -> list[str]:
+    """The data track's identifiable set: the ``d`` parameters of least test error, least first."""
+    return sorted(test_mae, key=test_mae.get)[:d]
+
+
 def compare_tracks(spec: InfoSpectrum, dmaps_dim: int, test_mae: Mapping[str, float], *,
                    cutoff: float = DEFAULT_CUTOFF,
                    projection_threshold: float = DEFAULT_PROJECTION_THRESHOLD,
@@ -154,13 +160,12 @@ def compare_tracks(spec: InfoSpectrum, dmaps_dim: int, test_mae: Mapping[str, fl
 
     The information-side set holds the parameters whose axes project (norm)
     above the threshold onto the top-``dmaps_dim`` eigenmode subspace; the
-    data side takes the ``dmaps_dim`` parameters with the smallest test
-    regression error.  Agreement requires equal dimensions and equal sets.
+    data side is the :func:`lowest_error_parameters` of ``test_mae``.
+    Agreement requires equal dimensions and equal sets.
     """
     fim_dim = effective_dimension(spec, cutoff)
     proj = spec.identifiable_projection(dmaps_dim)
     fim_set = frozenset(nm for nm, v in proj.items() if v > projection_threshold)
-    ranked = sorted(test_mae, key=lambda nm: test_mae[nm])
-    gh_set = frozenset(ranked[:dmaps_dim])
+    gh_set = frozenset(lowest_error_parameters(test_mae, dmaps_dim))
     agreement = (fim_dim == dmaps_dim) and (fim_set == gh_set)
     return ComparisonReport(fim_dim, dmaps_dim, fim_set, gh_set, agreement)

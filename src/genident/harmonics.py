@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmaps import median_epsilon, pairwise_sq_dists, top_eigenpairs
+from .dmaps import gaussian_kernel, median_epsilon, pairwise_sq_dists, top_eigenpairs
 from .errors import DomainError
 
 __all__ = [
@@ -86,15 +86,13 @@ def gh_fit(inputs: np.ndarray, targets: np.ndarray, epsilon_star: float | None =
     if epsilon_star <= 0:
         raise DomainError("epsilon_star must be positive")
 
-    W = np.exp(pairwise_sq_dists(X) / (-2.0 * epsilon_star))
+    W = gaussian_kernel(pairwise_sq_dists(X), epsilon_star)
     vals, vecs = top_eigenpairs(W, min(retain, n))
     keep = vals > delta * vals[0]
     if not np.all(keep):
         warnings.warn(f"dropped {int((~keep).sum())} eigenpair(s) below the "
                       f"delta * sigma_0 floor")
-    # C order, as the basis of an older model file reads back: the weights
-    # folded from such a file then equal these bit for bit
-    vals, vecs = vals[keep], np.ascontiguousarray(vecs[:, keep])
+    vals, vecs = vals[keep], vecs[:, keep]
     weights = (vecs / vals) @ (vecs.T @ F)
     return GHModel(X.copy(), float(epsilon_star), vals, weights,
                    target_names=tuple(target_names) if target_names else None,
@@ -107,8 +105,7 @@ def _kernel_to_training(m: GHModel, x_new: np.ndarray) -> tuple[np.ndarray, np.n
         raise DomainError(
             f"input dimension {X.shape[1]} does not match training dimension "
             f"{m.training_inputs.shape[1]}")
-    d2 = pairwise_sq_dists(X, m.training_inputs)
-    return X, np.exp(d2 / (-2.0 * m.epsilon_star))
+    return X, gaussian_kernel(pairwise_sq_dists(X, m.training_inputs), m.epsilon_star)
 
 
 def gh_predict(m: GHModel, x_new: np.ndarray) -> np.ndarray:

@@ -32,8 +32,7 @@ from .dmaps import (
     rescale01,
     select_nonharmonic,
 )
-from .ensemble import (DEFAULT_PERTURBATION, DEFAULT_PROJECTION_THRESHOLD, compare_tracks,
-                       run_ensemble, sample_ensemble)
+from .ensemble import compare_tracks, lowest_error_parameters, run_ensemble, sample_ensemble
 from .errors import ChainDivergenceError, DomainError
 from .fim import (DEFAULT_CUTOFF, InfoSpectrum, effective_dimension, fim, sensitivities,
                   spectrum)
@@ -54,32 +53,33 @@ __all__ = ["Config", "Stage", "load_config", "run_stage", "STAGES", "write_csv",
            "full_vs_reduced", "embed_outputs", "select_coordinates", "GHTrack",
            "fit_gh_track", "square_ift_reports"]
 
+# kernel scales of the diffusion map and of the GH fits, as multiples of the
+# median squared pairwise distance; the share of rows the GH fits train on, and
+# the seed of that split
+DMAPS_EPSILON_MULT = 3.0
+GH_EPSILON_MULT = 0.5
+TRAIN_FRAC = 0.8
+SPLIT_SEED = 1
+
 
 @dataclass(frozen=True)
 class Config:
-    """Every tunable of the pipeline; mirrors the config-file keys one to one."""
+    """What a run varies; mirrors the config-file keys one to one."""
 
     n_samples: int = 2000
-    perturbation: float = DEFAULT_PERTURBATION
     seed: int = 0
     workers: int = 1
     t_start: float = 3.0
     t_end: float = 5.0
     dt: float = 0.02
-    rtol: float = 1e-7
     fim_cutoff: float = DEFAULT_CUTOFF
-    projection_threshold: float = DEFAULT_PROJECTION_THRESHOLD
     geo_rtol: float = DEFAULT_GEODESIC_RTOL
-    dmaps_epsilon_mult: float = 3.0
     dmaps_k: int = 41
     residual_bandwidth_mult: float = DEFAULT_RESIDUAL_BANDWIDTH_MULT
     residual_max_k: int = 40
     target_dim: int = 0  # 0 means use the residual-gap rule
     gh_retain: int = DEFAULT_RETAIN
     gh_delta: float = DEFAULT_DELTA
-    gh_epsilon_mult: float = 0.5
-    train_frac: float = 0.8
-    split_seed: int = 1
 
     def grid(self) -> ObservationGrid:
         return ObservationGrid(self.t_start, self.t_end, self.dt)
@@ -197,7 +197,7 @@ class Stage:
         entry = {
             "stage": self.name,
             "config": asdict(self.cfg),
-            "seeds": {"ensemble": self.cfg.seed, "split": self.cfg.split_seed},
+            "seeds": {"ensemble": self.cfg.seed, "split": SPLIT_SEED},
             "wall_clock_s": round(time.monotonic() - self._t0, 3),
             "versions": {
                 "python": platform.python_version(),
@@ -223,14 +223,14 @@ class Stage:
 def stage_simulate(cfg: Config, st: Stage) -> str:
     """Nominal full-model trajectory from t = 0, sampled every ``dt`` up to ``t_end``."""
     t = ObservationGrid(0.0, cfg.t_end, cfg.dt).times()
-    traj = integrate(IndependentParams.nominal(), rtol=cfg.rtol, atol=cfg.rtol, t_end=cfg.t_end)
+    traj = integrate(IndependentParams.nominal(), t_end=cfg.t_end)
     path = st.path("trajectory.csv")
     write_csv(path, ["t", *STATE_NAMES], np.column_stack([t, traj.at(t)[0]]))
     return path
 
 
 def stage_sample(cfg: Config, st: Stage) -> str:
-    params = sample_ensemble(cfg.n_samples, cfg.perturbation, cfg.seed)
+    params = sample_ensemble(cfg.n_samples, seed=cfg.seed)
     path = st.path("ensemble_params.csv")
     write_csv(path, list(PARAM_NAMES), params)
     return path
@@ -238,7 +238,7 @@ def stage_sample(cfg: Config, st: Stage) -> str:
 
 def stage_ensemble(cfg: Config, st: Stage) -> str:
     _, params = read_csv(os.path.join(st.out_dir, "ensemble_params.csv"))
-    run = run_ensemble(params, cfg.grid(), workers=cfg.workers, rtol=cfg.rtol)
+    run = run_ensemble(params, cfg.grid(), workers=cfg.workers)
     path = st.path("ensemble_outputs.csv")
     write_csv(path, [f"y{i}" for i in range(run.outputs.shape[1])], run.outputs,
               fmt="%.12g")
@@ -357,15 +357,13 @@ def stage_residuals(cfg: Config, st: Stage):
     return sel
 
 
-def _split(n: int, frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted train and test rows of a seeded permutation, cut at round(frac n)."""
-    if seed < 0:
-        raise DomainError(f"split_seed must be non-negative, got {seed}")
-    k = int(round(frac * n))
+def _split(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted train and test rows of a SPLIT_SEED permutation, cut at round(TRAIN_FRAC n)."""
+    k = int(round(TRAIN_FRAC * n))
     if not 2 <= k < n:
-        raise DomainError(f"train_frac = {frac} puts {k} of {n} rows in training; "
+        raise DomainError(f"a {TRAIN_FRAC} split puts {k} of {n} rows in training; "
                           f"need at least 2 there and 1 for testing")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(SPLIT_SEED).permutation(n)
     return np.sort(perm[:k]), np.sort(perm[k:])
 
 
@@ -384,17 +382,16 @@ def _gh_model_json(model, selected, train_idx, test_idx) -> dict:
 
 
 def gh_model_from_json(obj) -> GHModel:
-    """The model of :func:`_gh_model_json`; keys it does not name are ignored.
-
-    An older file holds the basis V and projections C, folded here as (V / sigma) @ C.
-    """
-    vals = np.asarray(obj["eigenvalues"], dtype=float)
-    weights = (np.asarray(obj["weights"], dtype=float) if "weights" in obj else
-               (np.asarray(obj["eigenvectors"], dtype=float) / vals)
-               @ np.asarray(obj["coefficients"], dtype=float))
-    return GHModel(np.asarray(obj["training_inputs"], dtype=float), float(obj["epsilon_star"]),
-                   vals, weights, target_names=tuple(obj.get("target_names") or ()) or None,
-                   target_ndim=int(obj.get("target_ndim", 2)))
+    """The model of :func:`_gh_model_json`; keys it does not name are ignored,
+    and one it names that is missing raises :class:`DomainError`."""
+    try:
+        return GHModel(np.asarray(obj["training_inputs"], dtype=float),
+                       float(obj["epsilon_star"]), np.asarray(obj["eigenvalues"], dtype=float),
+                       np.asarray(obj["weights"], dtype=float),
+                       target_names=tuple(obj["target_names"]) or None,
+                       target_ndim=int(obj["target_ndim"]))
+    except KeyError as exc:
+        raise DomainError(f"GH model file has no {exc} key") from None
 
 
 def full_vs_reduced(cfg: Config, times) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
@@ -406,9 +403,9 @@ def full_vs_reduced(cfg: Config, times) -> tuple[np.ndarray, np.ndarray, dict[st
     relative to the largest magnitude of its full signal.
     """
     nominal = IndependentParams.nominal()
-    full = integrate(nominal, rtol=cfg.rtol, atol=cfg.rtol, t_end=cfg.t_end)
+    full = integrate(nominal, t_end=cfg.t_end)
     red = integrate(nominal, LimitFlags.all(), ics=full.at([cfg.t_start])[0, 0],
-                    t_end=cfg.t_end, t_start=cfg.t_start, rtol=cfg.rtol, atol=cfg.rtol)
+                    t_end=cfg.t_end, t_start=cfg.t_start)
     sf, sr = full.at(times)[0], red.at(times)[0]
     rel = {nm: float(np.max(np.abs(sf[:, i] - sr[:, i])) / np.max(np.abs(sf[:, i])))
            for i, nm in enumerate(STATE_NAMES)}
@@ -418,11 +415,11 @@ def full_vs_reduced(cfg: Config, times) -> tuple[np.ndarray, np.ndarray, dict[st
 def embed_outputs(outputs: np.ndarray, cfg: Config) -> DMapsEmbedding:
     """Diffusion-maps embedding of the rescaled ensemble outputs.
 
-    The kernel scale is ``cfg.dmaps_epsilon_mult`` times the median squared
+    The kernel scale is :data:`DMAPS_EPSILON_MULT` times the median squared
     pairwise distance; it comes back as the embedding's ``epsilon``.
     """
     rows = rescale01(outputs)
-    return dmaps(rows, median_epsilon(rows, cfg.dmaps_epsilon_mult), k=cfg.dmaps_k)
+    return dmaps(rows, median_epsilon(rows, DMAPS_EPSILON_MULT), k=cfg.dmaps_k)
 
 
 def select_coordinates(phi: np.ndarray,
@@ -453,7 +450,7 @@ class GHTrack:
 
 
 def fit_gh_track(params: np.ndarray, coords: np.ndarray, selected, cfg: Config) -> GHTrack:
-    """Fit coordinates -> parameters and back on the configured split.
+    """Fit coordinates -> parameters and back on the :func:`_split` of the rows.
 
     ``coords`` holds the diffusion coordinates listed in ``selected``, one row
     per row of ``params``.  Both sides are rescaled to [0, 1] first, and both
@@ -462,12 +459,12 @@ def fit_gh_track(params: np.ndarray, coords: np.ndarray, selected, cfg: Config) 
     """
     p01 = rescale01(params)
     c01 = rescale01(coords)
-    train, test = _split(params.shape[0], cfg.train_frac, cfg.split_seed)
+    train, test = _split(params.shape[0])
     coord_names = [f"phi_{k}" for k in selected]
     fwd = gh_fit(c01[train], p01[train], retain=cfg.gh_retain, delta=cfg.gh_delta,
-                 epsilon_mult=cfg.gh_epsilon_mult, target_names=PARAM_NAMES)
+                 epsilon_mult=GH_EPSILON_MULT, target_names=PARAM_NAMES)
     inv = gh_fit(p01[train], c01[train], retain=cfg.gh_retain, delta=cfg.gh_delta,
-                 epsilon_mult=cfg.gh_epsilon_mult, target_names=coord_names)
+                 epsilon_mult=GH_EPSILON_MULT, target_names=coord_names)
     pred = gh_predict(fwd, c01[test])
     mae = {nm: float(np.mean(np.abs(pred[:, j] - p01[test][:, j])))
            for j, nm in enumerate(PARAM_NAMES)}
@@ -482,21 +479,20 @@ def square_ift_reports(forward: GHModel, forward_mae: dict, params01: np.ndarray
                        cfg: Config) -> tuple[list[str], JacobianReport, JacobianReport, GHModel]:
     """Jacobian-determinant (local bijectivity) reports of the two square maps.
 
-    The identifiable parameters are the d with the smallest forward test
-    error, d being the number of coordinates.  ``params01`` and ``coords01``
-    are the [0, 1]-rescaled rows of :class:`GHTrack`.  Coordinates -> those
-    parameters keeps their columns of the forward model; those parameters ->
-    coordinates is fitted afresh on the training rows, and that model comes
-    back last.  Both are checked on the test rows.
+    The identifiable parameters are the d :func:`lowest_error_parameters` of
+    the forward test errors, d being the number of coordinates.  ``params01``
+    and ``coords01`` are the [0, 1]-rescaled rows of :class:`GHTrack`.
+    Coordinates -> those parameters keeps their columns of the forward model;
+    those parameters -> coordinates is fitted afresh on the training rows, and
+    that model comes back last.  Both are checked on the test rows.
     """
-    d = forward.training_inputs.shape[1]
-    identifiable = sorted(forward_mae, key=forward_mae.get)[:d]
+    identifiable = lowest_error_parameters(forward_mae, forward.training_inputs.shape[1])
     id_cols = [PARAM_NAMES.index(nm) for nm in identifiable]
     fwd_sq = replace(forward, weights=forward.weights[:, id_cols],
                      target_names=tuple(identifiable))
     inv_sq = gh_fit(params01[train][:, id_cols], coords01[train],
                     retain=cfg.gh_retain, delta=cfg.gh_delta,
-                    epsilon_mult=cfg.gh_epsilon_mult)
+                    epsilon_mult=GH_EPSILON_MULT)
     return (identifiable, jacobian_report(fwd_sq, coords01[test]),
             jacobian_report(inv_sq, params01[test][:, id_cols]), inv_sq)
 
@@ -543,15 +539,10 @@ def stage_ift(cfg: Config, st: Stage):
         np.asarray(fwd_obj["train_rows"], dtype=int),
         np.asarray(fwd_obj["test_rows"], dtype=int), cfg)
     st.extra["eigenpairs"] = {"inverse_square": _eigenpairs(inv_sq, cfg)}
-    out = {
-        "identifiable_parameters": identifiable,
-        "forward": {"sign_consistent": rep_fwd.sign_consistent,
-                    "min_abs": rep_fwd.min_abs,
-                    "determinants": rep_fwd.determinants.tolist()},
-        "inverse": {"sign_consistent": rep_inv.sign_consistent,
-                    "min_abs": rep_inv.min_abs,
-                    "determinants": rep_inv.determinants.tolist()},
-    }
+    out = {"identifiable_parameters": identifiable,
+           **{side: {"sign_consistent": rep.sign_consistent, "min_abs": rep.min_abs,
+                     "determinants": rep.determinants.tolist()}
+              for side, rep in (("forward", rep_fwd), ("inverse", rep_inv))}}
     write_json(st.path("ift.json"), out)
     histogram(st.path("ift_forward.svg"), rep_fwd.determinants,
               title="det J (coords -> params)", xlabel="determinant")
@@ -568,8 +559,7 @@ def stage_compare(cfg: Config, st: Stage):
                       np.asarray(spec_obj["eigenvectors"], dtype=float), tuple(spec_obj["names"]))
     sel = read_json(os.path.join(st.out_dir, "residuals.json"))["selected"]
     mae = read_json(os.path.join(st.out_dir, "gh_mae.json"))["forward_mae"]
-    report = compare_tracks(sp, len(sel), mae, cutoff=cfg.fim_cutoff,
-                            projection_threshold=cfg.projection_threshold)
+    report = compare_tracks(sp, len(sel), mae, cutoff=cfg.fim_cutoff)
     write_json(st.path("comparison.json"), report.to_dict())
     return report
 

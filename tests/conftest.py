@@ -134,12 +134,11 @@ def gh_basis():
     the ``retain`` it was fitted with, this gives back the orthonormal columns
     those weights were folded from.
     """
-    import numpy as np
-    from genident.dmaps import pairwise_sq_dists, top_eigenpairs
+    from genident.dmaps import gaussian_kernel, pairwise_sq_dists, top_eigenpairs
 
     def basis(m, retain):
         X = m.training_inputs
-        W = np.exp(pairwise_sq_dists(X) / (-2.0 * m.epsilon_star))
+        W = gaussian_kernel(pairwise_sq_dists(X), m.epsilon_star)
         _, vecs = top_eigenpairs(W, min(retain, X.shape[0]))
         return vecs[:, :m.n_retained]
 

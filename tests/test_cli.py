@@ -74,7 +74,9 @@ class TestConfig:
         # all but the first were keys once; an old config file must fail loudly
         for line in ("not_a_key = 3", 'iq_form = "standard"', "sens_step = 1e-4",
                      "sens_rtol = 1e-9", "geo_vel_ratio = 1000.0", "geo_log_bound = 25.0",
-                     "paper_scale_samples = 10000"):
+                     "paper_scale_samples = 10000", "perturbation = 0.1", "rtol = 1e-7",
+                     "projection_threshold = 0.8", "dmaps_epsilon_mult = 3.0",
+                     "gh_epsilon_mult = 0.5", "train_frac = 0.8", "split_seed = 1"):
             p = tmp_path / "bad.cfg"
             p.write_text(line + "\n")
             with pytest.raises(DomainError, match="unknown config key"):
@@ -83,7 +85,7 @@ class TestConfig:
     @pytest.mark.parametrize("line, key", [
         ("n_samples = 1e3", "n_samples"), ('n_samples = "abc"', "n_samples"),
         ("dt = x", "dt"), ("seed = true", "seed"), ("dt = false", "dt"), ("dt = 1", None),
-        ("fim_cutoff = NaN", "fim_cutoff"), ("train_frac = Infinity", "train_frac"),
+        ("fim_cutoff = NaN", "fim_cutoff"), ("geo_rtol = Infinity", "geo_rtol"),
     ])
     def test_value_types_checked(self, tmp_path, line, key):
         # an int field takes an int, a float field a finite int or float, and
@@ -191,16 +193,20 @@ class TestConfig:
     def test_every_demo_import_resolves(self):
         # the dead-name scan checks that defined names are used, not that used names
         # exist; a demo is not run by the suite, so a name it imports that the package
-        # no longer defines would otherwise go unnoticed
+        # no longer defines, or a config key it reads as cfg.<key> that Config no
+        # longer has, would otherwise go unnoticed
         missing = []
         for path, tree in _parsed("demos/*.py"):
+            where = os.path.relpath(path, ROOT)
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("genident"):
                     module = importlib.import_module(node.module)
-                    missing += [f"{os.path.relpath(path, ROOT)}:{node.lineno} "
-                                f"{node.module}.{a.name}"
+                    missing += [f"{where}:{node.lineno} {node.module}.{a.name}"
                                 for a in node.names if not hasattr(module, a.name)]
-        assert not missing, f"demo imports the package does not define: {missing}"
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "cfg" and not hasattr(Config, node.attr)):
+                    missing.append(f"{where}:{node.lineno} cfg.{node.attr}")
+        assert not missing, f"demo imports and config keys the package does not define: {missing}"
 
     def test_every_parameter_is_read(self):
         # each parameter of every function of the package, methods and nested
@@ -289,6 +295,18 @@ class TestCliStages:
         assert warned == [f["dropped"] for f in fits if f["dropped"]]
         assert warned  # the counts are not all zero
 
+    def test_compare_and_ift_name_the_same_identifiable_set(self, small_run, tmp_path):
+        # both stages take the parameters with the smallest forward test error
+        cfg_path, out = small_run
+        run = str(tmp_path / "run")
+        shutil.copytree(out, run)
+        for stage in ("gh-fit", "ift", "fim", "compare"):
+            assert main([stage, "--config", cfg_path, "--out", run]) == 0
+        with open(os.path.join(run, "ift.json"), encoding="utf-8") as fh:
+            identifiable = json.load(fh)["identifiable_parameters"]
+        with open(os.path.join(run, "comparison.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["gh_identifiable_set"] == sorted(identifiable)
+
     def test_simulate_takes_a_dt_that_does_not_divide_t_end(self, tmp_path):
         cfg = tmp_path / "dt.cfg"
         cfg.write_text("dt = 0.03\n")
@@ -324,13 +342,11 @@ class TestCliStages:
         ("sample", "", ["--seed", "-1"]),
         ("residuals", "residual_max_k = 0", []),
         ("residuals", "residual_bandwidth_mult = 0.0", []),
-        ("gh-fit", "split_seed = -1", []),
-        ("gh-fit", "train_frac = 1.0", []),
         ("gh-fit", "gh_delta = 1.0", []),
         ("simulate", "dt = 0.0", []),
         ("simulate", "dt = -0.02", []),
-    ], ids=["seed", "residual_max_k", "residual_bandwidth_mult", "split_seed",
-            "train_frac", "gh_delta", "dt-zero", "dt-negative"])
+    ], ids=["seed", "residual_max_k", "residual_bandwidth_mult", "gh_delta", "dt-zero",
+            "dt-negative"])
     def test_out_of_range_value_exits_2(self, small_run, tmp_path, capsys, stage, line, argv):
         # each fails as a precondition at the first stage that reads it: not with a
         # traceback, a singular solve, NaN errors or a model with no basis
@@ -343,25 +359,16 @@ class TestCliStages:
         assert main([stage, "--config", str(bad), "--out", run, *argv]) == 2
         assert "precondition violation" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stages, line", [
-        (["simulate"], "rtol = 0"),
-        (["simulate"], "rtol = -1e-7"),
-        (["simulate"], "rtol = 1e-15"),
-        (["sample", "ensemble"], "rtol = 0.0"),
-        (["sample", "ensemble"], "rtol = 1e-15"),
-        (["geodesic"], "geo_rtol = 0.0"),
-        (["geodesic"], "geo_rtol = 1e-15"),
-    ], ids=["simulate-zero", "simulate-negative", "simulate-below-floor", "ensemble-zero",
-            "ensemble-below-floor", "geodesic-zero", "geodesic-below-floor"])
-    def test_tolerance_not_positive_exits_2(self, tmp_path, capsys, stages, line):
+    @pytest.mark.parametrize("line", ["geo_rtol = 0.0", "geo_rtol = 1e-15"],
+                             ids=["geodesic-zero", "geodesic-below-floor"])
+    def test_tolerance_not_positive_exits_2(self, tmp_path, capsys, line):
         # scipy's RK45 would silently raise an rtol below 100 machine epsilons,
         # zero and negative ones included, to that floor; the stepper takes it as
-        # given, so it is rejected up front
+        # given, so it is rejected up front (the model solve's own rtol is a
+        # library default, checked in test_generator and test_ensemble)
         cfg = tmp_path / "tol.cfg"
-        cfg.write_text("n_samples = 8\n" + line + "\n")
-        out = str(tmp_path / "run")
-        codes = [main([stage, "--config", str(cfg), "--out", out]) for stage in stages]
-        assert codes[-1] == 2 and set(codes[:-1]) <= {0}
+        cfg.write_text(line + "\n")
+        assert main(["geodesic", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["geodesic", "mbam"])
@@ -402,9 +409,8 @@ class TestCliStages:
         write_json(os.path.join(out, "residuals.json"), {"selected": selected})
         write_json(os.path.join(out, "gh_mae.json"), {"forward_mae": mae})
         assert main(["compare", "--config", tiny_cfg, "--out", out]) == 0
-        cfg = load_config(tiny_cfg)
-        want = compare_tracks(nominal_spectrum, len(selected), mae, cutoff=cfg.fim_cutoff,
-                              projection_threshold=cfg.projection_threshold)
+        want = compare_tracks(nominal_spectrum, len(selected), mae,
+                              cutoff=load_config(tiny_cfg).fim_cutoff)
         with open(os.path.join(out, "comparison.json"), encoding="utf-8") as fh:
             assert json.load(fh) == want.to_dict()
         # a spectrum written without the modes asks for the fim stage to be rerun
@@ -429,7 +435,7 @@ class TestCliStages:
         bad.write_text("bogus = 1\n")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
-    def test_gh_eval_roundtrip(self, tmp_path, gh_basis):
+    def test_gh_eval_roundtrip(self, tmp_path, capsys):
         # minimal hand-built model file exercises the stored-model interface
         rng = np.random.default_rng(0)
         X = rng.uniform(0, 1, (80, 2))
@@ -442,7 +448,8 @@ class TestCliStages:
         os.makedirs(out)
         model_path = os.path.join(out, "model.json")
         obj = _gh_model_json(m, [1, 2], np.arange(60), np.arange(60, 80))
-        # older model files also carry the training rescaling's column ranges
+        # a key the model does not name, such as the training rescaling's column
+        # ranges that older files carried, is ignored
         obj["output_scaling"] = [[0.0, 0.0], [1.0, 1.0]]
         write_json(model_path, obj)
         # the file holds the (N, n_targets) Nystrom weights and not the basis,
@@ -457,15 +464,15 @@ class TestCliStages:
         assert main(argv) == 0
         _, pred = read_csv(os.path.join(out, "gh_eval.csv"))
         np.testing.assert_allclose(pred[:, 0], gh_predict(m, X[:5]), rtol=1e-12)
-        # files written before models held their Nystrom weights store the
-        # basis and its projections instead, and still predict the same
-        V = np.ascontiguousarray(gh_basis(m, 40))  # in the layout older files were written from
-        del obj["weights"]
-        obj["eigenvectors"], obj["coefficients"] = V.tolist(), (V.T @ y[:, None]).tolist()
-        write_json(model_path, obj)
-        assert main(argv) == 0
-        _, pred = read_csv(os.path.join(out, "gh_eval.csv"))
-        np.testing.assert_allclose(pred[:, 0], gh_predict(m, X[:5]), rtol=1e-12)
+        # a file without a key that prediction reads exits 2 with one line naming
+        # it: so does one written when model files held the kernel basis and its
+        # projections in place of the weights
+        capsys.readouterr()
+        for key in ("epsilon_star", "training_inputs", "weights"):
+            write_json(model_path, {k: v for k, v in obj.items() if k != key})
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and repr(key) in err and "Traceback" not in err
         # it reads no config, so it takes none of the stages' options
         for extra in (["--seed", "1"], ["--config", "bad.cfg"], ["--workers", "2"]):
             with pytest.raises(SystemExit) as exc:

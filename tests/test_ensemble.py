@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from genident import ensemble
 from genident.ensemble import (
     compare_tracks,
     run_ensemble,
@@ -59,6 +60,16 @@ class TestRunEnsemble:
         r8 = run_ensemble(rows, workers=8)
         np.testing.assert_array_equal(r1.outputs, r8.outputs)
         np.testing.assert_array_equal(r1.row_indices, r8.row_indices)
+
+    @pytest.mark.parametrize("rtol", [0.0, -1e-7, 1e-15], ids=["zero", "negative", "below-floor"])
+    def test_tolerance_not_positive_rejected_before_solving(self, monkeypatch, rtol):
+        # checked up front: a row that fails to integrate is retried, then dropped
+        def solve(*args, **kwargs):
+            raise AssertionError("the model was solved")
+
+        monkeypatch.setattr(ensemble, "integrate_batch", solve)
+        with pytest.raises(DomainError, match="must be finite and positive"):
+            run_ensemble(NOM[None, :], rtol=rtol)
 
     def test_row_order_preserved(self):
         rows = sample_ensemble(70, seed=5)

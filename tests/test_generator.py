@@ -292,6 +292,21 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(NOM, ics=INITIAL_STATE, t_end=-1.0)
 
+    @pytest.mark.parametrize("rtol", [0.0, -1e-7, 1e-15], ids=["zero", "negative", "below-floor"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["integrate", "integrate_batch"])
+    def test_tolerance_not_positive_rejected_before_solving(self, monkeypatch, batch, rtol):
+        # the stepper takes an rtol as given, where scipy's RK45 would silently
+        # raise one below 100 machine epsilons to that floor
+        def solve(*args, **kwargs):
+            raise AssertionError("the model was solved")
+
+        monkeypatch.setattr(generator, "solve", solve)
+        with pytest.raises(DomainError, match="must be finite and positive"):
+            if batch:
+                generator.integrate_batch(NOM.to_array()[None, :], rtol=rtol)
+            else:
+                integrate(NOM, rtol=rtol)
+
     @pytest.mark.parametrize("ics", [INITIAL_STATE[:5], INITIAL_STATE + (0.0,),
                                      (math.nan,) + INITIAL_STATE[1:]],
                              ids=["five", "seven", "nan"])
