@@ -22,16 +22,15 @@ from .errors import DomainError, SolverError
 
 __all__ = ["DormandPrince", "MIN_RTOL", "TOO_SMALL_STEP", "check_rtol", "solve"]
 
-# the tableau: stage coefficients (row s combines stages 0..s-1), the fifth-order
-# weights, the error weights (fifth minus embedded fourth order) and the
-# interpolant's coefficients of x, x^2, x^3, x^4, over the seven stages
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+# the tableau: stage coefficients (the row of stage s combines stages 0..s-1),
+# the fifth-order weights, the error weights (fifth minus embedded fourth order)
+# and the interpolant's coefficients of x, x^2, x^3, x^4, over the seven stages
+_A = [np.array(row) for row in (
+    [1/5],
+    [3/40, 9/40],
+    [44/45, -56/15, 32/9],
+    [19372/6561, -25360/2187, 64448/6561, -212/729],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656])]
 _B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 _P = np.array([
@@ -65,7 +64,8 @@ def check_rtol(rtol: float, what: str) -> None:
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm of a 1-D real array is this square root of x . x
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 class DormandPrince:
@@ -109,8 +109,8 @@ class DormandPrince:
         the seven stages left in ``K``."""
         K, y = self.K, self.y
         K[0] = self.f
-        for s, a in enumerate(_A[1:], start=1):
-            dy = np.dot(K[:s].T, a[:s]) * h
+        for s, a in enumerate(_A, start=1):
+            dy = np.dot(K[:s].T, a) * h
             K[s] = self.fun(y + dy)
         y_new = y + h * np.dot(K[:-1].T, _B)
         f_new = self.fun(y_new)
@@ -120,7 +120,7 @@ class DormandPrince:
     def step(self) -> str | None:
         """Take one accepted step, or fail; returns the failure message or None."""
         t, y = self.t, self.y
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if self.h_abs > self.max_step:
             h_abs = self.max_step
         elif self.h_abs < min_step:
@@ -134,7 +134,7 @@ class DormandPrince:
                 return TOO_SMALL_STEP
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             y_new, f_new = self._stages(h)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error_norm = _rms(np.dot(self.K.T, _E) * h / scale)

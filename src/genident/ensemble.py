@@ -15,6 +15,7 @@ from .fim import DEFAULT_CUTOFF, InfoSpectrum, effective_dimension
 from .generator import (
     DEFAULT_GRID,
     PARAM_NAMES,
+    SOLVE_TOL,
     IndependentParams,
     ObservationGrid,
     integrate_batch,
@@ -107,7 +108,7 @@ def _run_chunk(args):
 
 def run_ensemble(params: np.ndarray, grid: ObservationGrid = DEFAULT_GRID,
                  workers: int = 1, *,
-                 rtol: float = 1e-7, max_failure_frac: float = 0.01) -> EnsembleRun:
+                 rtol: float = SOLVE_TOL, max_failure_frac: float = 0.01) -> EnsembleRun:
     """Observed full-model output for every parameter row.
 
     Rows are integrated in fixed-size shared-step chunks, so the result is

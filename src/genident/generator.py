@@ -14,9 +14,13 @@ Under every flag set the stator currents, the slaved EMFs and the EMF rates
 are affine in z = (the integrated states after the angle, v_d, v_q, 1), and
 so is the swing equation but for its -P_g/H term.  The model is therefore
 written once, as coefficient rows over z formed once per parameter block
-(:func:`_coefficients`); the right-hand side, the output reconstruction and
-the power-angle Newton all evaluate those rows.  P_g = v_d i_d + v_q i_q, and
-its partials in the angle and along the EMF rates are rows over z too.
+(:func:`_coefficients`); the output reconstruction and the power-angle Newton
+evaluate those rows.  P_g = v_d i_d + v_q i_q, and its partials in the angle
+and along the EMF rates, pair v with rows over z.  With v written through
+(sin delta, cos delta), every rate is therefore a quadratic form in
+(sin delta, cos delta, 1) and z, and the right-hand side is one contraction
+with a tensor restated from the rows once per parameter block
+(:func:`_rate_tensor`, :func:`_rates`).
 
 Five singular/regular limits (damping -> 0, inertia -> 0, the two subtransient
 time constants -> 0, and x_d -> x_q) each remove one parameter.  Each is a
@@ -52,6 +56,7 @@ __all__ = [
     "integrate_batch",
     "observe",
     "solve_power_angle",
+    "SOLVE_TOL",
 ]
 
 # Independent parameter order used everywhere (column order of sensitivity
@@ -87,6 +92,9 @@ P_M = 0.7
 V_BUS = 1.09
 VARTHETA = 0.0
 OMEGA_0 = 1.0
+
+#: the default rtol and atol of a model solve (:func:`integrate_batch`)
+SOLVE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -289,7 +297,8 @@ def _coefficients(b: dict, flags: LimitFlags) -> np.ndarray:
 
 def _bare_arrays(ps: np.ndarray, flags: LimitFlags) -> dict:
     """Bare parameters of an (n_sets, 11) block as (n_sets, 1) arrays, with the
-    limits substituted, and under ``"coef"`` their :func:`_coefficients`.
+    limits substituted, under ``"coef"`` their :func:`_coefficients` and under
+    ``"rates"`` their :func:`_rate_tensor`.
 
     Flagged limits override the supplied values: D is zero under d_zero and x_d
     is pinned to x_q under dx1_zero.  H drops out under h_zero.  Tdpp and Tqpp
@@ -300,23 +309,21 @@ def _bare_arrays(ps: np.ndarray, flags: LimitFlags) -> dict:
     b = _bare(H, np.zeros_like(D) if flags.d_zero else D,
               np.zeros_like(dx1) if flags.dx1_zero else dx1, *rest)
     b["coef"] = _coefficients(b, flags)
+    b["rates"] = _rate_tensor(b, flags)
     return b
 
 
-def _evaluate(coef: np.ndarray, rest: np.ndarray, delta: np.ndarray, swing: bool = False):
+def _evaluate(coef: np.ndarray, rest: np.ndarray, delta: np.ndarray):
     """z and the affine quantities z @ coef at points of ``delta``'s shape (n, T).
 
     ``rest`` holds the integrated states after the angle, (m, n, T); z and the
     second result are component first too, (m + 3, n, T) and (columns of
-    ``coef``, n, T), and ``coef`` may hold only its first columns.  With
-    ``swing`` the first of ``rest`` is the speed, which enters z as its slip
-    omega - omega_0.
+    ``coef``, n, T), and ``coef`` may hold only some of its columns, none of
+    them a rate.  The speed, which the rates alone read, enters z as it is.
     """
     m = len(rest)
     z = np.empty((m + 3,) + delta.shape)
     z[:m] = rest
-    if swing:
-        z[0] -= OMEGA_0
     angle = delta - VARTHETA
     np.multiply(V_BUS, np.sin(angle), out=z[m])
     np.multiply(V_BUS, np.cos(angle), out=z[m + 1])
@@ -325,29 +332,71 @@ def _evaluate(coef: np.ndarray, rest: np.ndarray, delta: np.ndarray, swing: bool
 
 
 def _power(z: np.ndarray, val: np.ndarray, j: int) -> np.ndarray:
-    """v . (val[j], val[j + 1]): P_g at j = 0, dP_g/d(delta) at ``_SLOPE`` and
-    dP_g/dx . dx/dt at ``_DRIFT``."""
+    """v . (val[j], val[j + 1]): P_g at j = 0 and dP_g/d(delta) at ``_SLOPE``."""
     return z[-3] * val[j] + z[-2] * val[j + 1]
 
 
-def _rhs_kernel(y: np.ndarray, b: dict, flags: LimitFlags):
-    """Rates of the integrated states at points (n, T); y is (len(integrated), n, T).
+# (v_d, v_q) = _BUS @ (sin delta, cos delta): the bus voltage at its angle
+_BUS = V_BUS * np.array([[math.cos(VARTHETA), -math.sin(VARTHETA)],
+                         [math.sin(VARTHETA), math.cos(VARTHETA)]])
 
-    y holds the states of :func:`_integrated_states`, component first.  In the
-    inertia limit the angle's rate is the implicit-function derivative of
-    P_g(delta, x) = P_m, d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta));
-    otherwise the swing equation's rows get their -P_g/H term.  Returns the
-    rates (shaped like y), z and the affine quantities of :func:`_evaluate`.
+
+def _rate_tensor(b: dict, flags: LimitFlags) -> np.ndarray:
+    """The rates of the integrated states as one tensor C, shape (S, 3, m + 3, n).
+
+    Over z = (the m integrated states after the angle, sin(delta), cos(delta),
+    1), rate s at set j is the quadratic form sum_ik z[m + i] z[k] C[s, i, k, j]
+    (:func:`_rates`): block i = 0, 1, 2 is the rate's part over sin(delta) z,
+    cos(delta) z and z.  The rows are :func:`_coefficients`' restated over
+    this z: the bus voltage, v = _BUS @ (sin, cos), goes into the v_d and v_q
+    rows and the reference speed omega_0 into the constant column.  A product
+    v . (p, p') of two rows over z then has the blocks _BUS^T (p, p'), which
+    gives the swing rate its -P_g/H = -v . i / H.  In the inertia limit S is
+    the number of integrated states plus one: rates 0 and 1 are -v . w and
+    v . s, whose ratio is the angle's rate, then the EMF rates.
     """
-    z, val = _evaluate(b["coef"], y[1:], y[0], swing=not flags.h_zero)
-    rates = np.empty(y.shape)
+    n, q, _ = b["coef"].shape
+    lift = np.eye(q)  # _coefficients' z = lift @ this z
+    lift[q - 3:q - 1, q - 3:q - 1] = _BUS
+    if not flags.h_zero:
+        lift[0, -1] = -OMEGA_0  # the slip omega - omega_0
+    c = np.einsum("ji,njr->rin", lift, b["coef"])
+
+    def product(j):  # v . (row j, row j + 1), on the sin(delta) and cos(delta) blocks
+        return np.einsum("ji,jkn->ikn", _BUS, c[j:j + 2])
+
+    lead = 2 if flags.h_zero else 0
+    C = np.zeros((lead + len(c) - _RATES, 3, q, n))
+    C[lead:, 2] = c[_RATES:]
     if flags.h_zero:
-        rates[0] = -_power(z, val, _DRIFT) / _power(z, val, _SLOPE)
-        rates[1:] = val[_RATES:]
+        C[0, :2] = -product(_DRIFT)
+        C[1, :2] = product(_SLOPE)
     else:
-        rates[:] = val[_RATES:]
-        rates[1] -= _power(z, val, 0) / b["H"]
-    return rates, z, val
+        C[1, :2] = -product(0) / b["H"][:, 0]
+    return C
+
+
+def _rates(y: np.ndarray, b: dict, flags: LimitFlags) -> np.ndarray:
+    """Rates of the integrated states at points (n, ...); y is (len(integrated), n, ...).
+
+    y holds the states of :func:`_integrated_states`, component first, and the
+    rates come back shaped like it: one contraction of ``b["rates"]``
+    (:func:`_rate_tensor`) with z = (y[1:], sin(y[0]), cos(y[0]), 1) twice.
+    In the inertia limit the angle's rate is the implicit-function derivative
+    of P_g(delta, x) = P_m, d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta)),
+    one division more.
+    """
+    m = len(y) - 1
+    z = np.empty((m + 3,) + y.shape[1:])
+    z[:m] = y[1:]
+    np.sin(y[0], out=z[m])
+    np.cos(y[0], out=z[m + 1])
+    z[m + 2] = 1.0
+    r = np.einsum("in...,kn...,sikn->sn...", z[m:], z, b["rates"])
+    if flags.h_zero:
+        np.divide(r[0], r[1], out=r[1])
+        return r[1:]
+    return r
 
 
 # the power-angle Newton stops once every |P_g - P_m| is below this, and gives
@@ -417,8 +466,9 @@ def rhs(s: Sequence[float], p: IndependentParams, flags: LimitFlags = LimitFlags
     y = arr[[STATE_NAMES.index(nm) for nm in _integrated_states(flags)]].reshape(-1, 1, 1)
     if flags.h_zero:
         y[0] = solve_power_angle(y[1:], b, guess=y[0] if arr[0] > 0 else None)
-    rates, z, val = _rhs_kernel(y, b, flags)
+    rates = _rates(y, b, flags)
     d = rates[1:, 0, 0] if flags.h_zero else rates[:, 0, 0]
+    z, val = _evaluate(b["coef"][..., :2], y[1:], y[0])
     return d, {"power_balance": float(P_M - _power(z, val, 0)[0, 0])}
 
 
@@ -449,7 +499,8 @@ class Trajectory:
 
 def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
                     ics: Sequence[float] | None = None, t_end: float = 5.0, *,
-                    t_start: float = 0.0, rtol: float = 1e-7, atol: float = 1e-7) -> Trajectory:
+                    t_start: float = 0.0, rtol: float = SOLVE_TOL,
+                    atol: float = SOLVE_TOL) -> Trajectory:
     """Integrate many parameter sets over one shared adaptive-step sequence.
 
     Every set starts from ``ics``, the six states in :data:`STATE_NAMES` order
@@ -466,10 +517,12 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     integrated with the EMFs; the returned trajectory projects it back onto
     the power balance, with one more solve per evaluation.
 
-    The model's coefficient rows are formed once per call, so each right-hand
-    side evaluation is sin and cos of the angles, one batched matmul over
-    z = (states after the angle, v_d, v_q, 1), and either the swing equation's
-    -P_g/H term or the inertia limit's angle rate (:func:`_rhs_kernel`).
+    The model's rate tensor is formed once per call, so each right-hand side
+    evaluation is sin and cos of the angles, forming
+    z = (states after the angle, sin(delta), cos(delta), 1), and one
+    contraction of the tensor with z and its last three entries, the rates
+    being quadratic in z; the inertia limit's angle rate takes one division
+    more (:func:`_rates`).
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if not np.all(np.isfinite(params)) or np.any(params < 0):
@@ -491,17 +544,17 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         EMFs from their coefficient rows.  In the inertia limit the angle is
         projected onto P_g = P_m (warm-started from the integrated one) and
         ``omega`` holds its rate."""
+        x = np.empty((len(STATE_NAMES),) + y.shape[1:])
         if flags.h_zero:
             y = np.concatenate([solve_power_angle(y[1:], b, guess=y[0])[None], y[1:]])
-        rates, _, val = _rhs_kernel(y, b, flags)
-        x = np.empty((len(STATE_NAMES),) + y.shape[1:])
+            x[1] = _rates(y, b, flags)[0]
         x[integrated] = y
-        if flags.h_zero:
-            x[1] = rates[0]
-        if flags.tdpp_zero:
-            x[4] = val[_EQ2]
-        if flags.tqpp_zero:
-            x[5] = val[_ED2]
+        if flags.tdpp_zero or flags.tqpp_zero:
+            val = _evaluate(b["coef"][..., _EQ2:_ED2 + 1], y[1:], y[0])[1]
+            if flags.tdpp_zero:
+                x[4] = val[0]
+            if flags.tqpp_zero:
+                x[5] = val[1]
         return x
 
     # the solver's state is component first: each integrated state for all n sets
@@ -512,7 +565,7 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         s0[0], ddelta0 = start[0, :, 0], start[1]
 
     def f(y):
-        return _rhs_kernel(y.reshape(-1, n, 1), b, flags)[0].ravel()
+        return _rates(y.reshape(-1, n), b, flags).ravel()
 
     if t_end > t_start:
         times, dense = solve(f, t_start, s0.ravel(), t_end, rtol=rtol, atol=atol,
@@ -531,7 +584,8 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
 
 def integrate(p: IndependentParams, flags: LimitFlags = LimitFlags(),
               ics: Sequence[float] | None = None, t_end: float = 5.0, *,
-              t_start: float = 0.0, rtol: float = 1e-7, atol: float = 1e-7) -> Trajectory:
+              t_start: float = 0.0, rtol: float = SOLVE_TOL,
+              atol: float = SOLVE_TOL) -> Trajectory:
     """Integrate a single parameter set from ``ics`` (None means
     :data:`INITIAL_STATE`); see :func:`integrate_batch`."""
     return integrate_batch(p.to_array()[None, :], flags, ics, t_end,

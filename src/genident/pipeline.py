@@ -3,9 +3,9 @@ artifacts so the two tracks can execute independently and be diffed.
 
 A stage is a function of the config and its open :class:`Stage`, listed once in
 :data:`STAGES`; :func:`run_stage` opens the stage under that name, runs it and
-appends its manifest entry (config snapshot, seeds, output files with content
-hashes, wall-clock).  Artifacts from earlier stages are never rewritten by
-later ones.
+appends its manifest entry (config snapshot, seeds, the fixed constants,
+output files with content hashes, wall-clock).  Artifacts from earlier stages
+are never rewritten by later ones.
 """
 
 from __future__ import annotations
@@ -32,12 +32,14 @@ from .dmaps import (
     rescale01,
     select_nonharmonic,
 )
-from .ensemble import compare_tracks, lowest_error_parameters, run_ensemble, sample_ensemble
+from .ensemble import (DEFAULT_PERTURBATION, DEFAULT_PROJECTION_THRESHOLD, compare_tracks,
+                       lowest_error_parameters, run_ensemble, sample_ensemble)
 from .errors import ChainDivergenceError, DomainError
 from .fim import (DEFAULT_CUTOFF, InfoSpectrum, effective_dimension, fim, sensitivities,
                   spectrum)
 from .generator import (
     PARAM_NAMES,
+    SOLVE_TOL,
     STATE_NAMES,
     IndependentParams,
     LimitFlags,
@@ -135,14 +137,18 @@ def write_csv(path: str, header: list[str], rows: np.ndarray, fmt: str | None = 
 
     By default each value is written as the shortest decimal that reads back
     bit-identical (Python's float ``repr``); a %-format in ``fmt`` rounds
-    instead.
+    instead, applied to a whole row at once.
     """
     rows = np.atleast_2d(np.asarray(rows))
-    cell = repr if fmt is None else fmt.__mod__
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows.tolist():
-            fh.write(",".join(map(cell, row)) + "\n")
+        if fmt is None:
+            for row in rows.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
+        else:
+            line = ",".join([fmt] * rows.shape[1]) + "\n"
+            for row in rows.tolist():
+                fh.write(line % tuple(row))
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -198,6 +204,16 @@ class Stage:
             "stage": self.name,
             "config": asdict(self.cfg),
             "seeds": {"ensemble": self.cfg.seed, "split": SPLIT_SEED},
+            # the fixed choices, which no config key sets (README, "Command line")
+            "constants": {
+                "DEFAULT_PERTURBATION": DEFAULT_PERTURBATION,
+                "SOLVE_TOL": SOLVE_TOL,
+                "DEFAULT_PROJECTION_THRESHOLD": DEFAULT_PROJECTION_THRESHOLD,
+                "DMAPS_EPSILON_MULT": DMAPS_EPSILON_MULT,
+                "GH_EPSILON_MULT": GH_EPSILON_MULT,
+                "TRAIN_FRAC": TRAIN_FRAC,
+                "SPLIT_SEED": SPLIT_SEED,
+            },
             "wall_clock_s": round(time.monotonic() - self._t0, 3),
             "versions": {
                 "python": platform.python_version(),

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from genident import cli, pipeline
+from genident import cli, ensemble, generator, pipeline
 from genident.cli import main
 from genident.errors import ChainDivergenceError, DomainError, SolverError
 from genident.pipeline import Config, load_config, read_csv
@@ -314,6 +314,38 @@ class TestCliStages:
         assert main(["simulate", "--config", str(cfg), "--out", out]) == 0
         _, data = read_csv(os.path.join(out, "trajectory.csv"))
         assert data[-1, 0] <= 5.0 and data.shape[0] == 167
+
+    def test_manifest_records_the_fixed_constants(self, tmp_path, tiny_cfg, monkeypatch):
+        # each entry names the fixed choices no config key sets, so runs whose
+        # constants differ write different manifests
+        def constants(out):
+            with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+                return [s["constants"] for s in json.load(fh)["stages"]]
+
+        out = str(tmp_path / "run")
+        for stage in ("simulate", "sample"):
+            assert main([stage, "--config", tiny_cfg, "--out", out]) == 0
+        want = {"DEFAULT_PERTURBATION": ensemble.DEFAULT_PERTURBATION,
+                "SOLVE_TOL": generator.SOLVE_TOL,
+                "DEFAULT_PROJECTION_THRESHOLD": ensemble.DEFAULT_PROJECTION_THRESHOLD,
+                "DMAPS_EPSILON_MULT": pipeline.DMAPS_EPSILON_MULT,
+                "GH_EPSILON_MULT": pipeline.GH_EPSILON_MULT,
+                "TRAIN_FRAC": pipeline.TRAIN_FRAC, "SPLIT_SEED": pipeline.SPLIT_SEED}
+        assert constants(out) == [want, want]
+        monkeypatch.setattr(pipeline, "TRAIN_FRAC", 0.7)
+        other = str(tmp_path / "other")
+        assert main(["simulate", "--config", tiny_cfg, "--out", other]) == 0
+        assert constants(other) == [{**want, "TRAIN_FRAC": 0.7}]
+
+    @pytest.mark.parametrize("fmt", ["%.12g", "%d"])
+    def test_formatted_rows_equal_per_cell_formatting(self, tmp_path, fmt):
+        rows = np.random.default_rng(5).normal(0, 1e3, (7, 5))
+        path = str(tmp_path / "rows.csv")
+        pipeline.write_csv(path, ["a", "b", "c", "d", "e"], rows, fmt=fmt)
+        want = "a,b,c,d,e\n" + "".join(",".join(fmt % v for v in row) + "\n"
+                                       for row in rows.tolist())
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode()
 
     def test_rerun_is_byte_identical(self, tmp_path, tiny_cfg):
         out = str(tmp_path / "run")

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -7,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from genident import generator
+from genident.ensemble import run_ensemble
 from genident.errors import DomainError
 from genident.generator import (
     LIMIT_CHAIN,
@@ -109,9 +111,10 @@ def _transcribed_power(delta, eq1, ed1, eq2, ed2, p, flags):
     return v_d * (eq2 - v_q) / xdpp + v_q * (v_d - ed2) / xdpp
 
 
-def _at_limits(flags):
-    """Nominal independent parameters with D and dx1 at their limits where flagged."""
-    p = NOM.to_array()
+def _at_limits(flags, p=None):
+    """Independent parameters ``p`` (nominal if None) with D and dx1 at their
+    limits where flagged."""
+    p = NOM.to_array() if p is None else p.copy()
     for flag, name in (("d_zero", "D"), ("dx1_zero", "dx1")):
         if getattr(flags, flag):
             p[PARAM_NAMES.index(name)] = 0.0
@@ -128,6 +131,17 @@ def _random_state(rng, p, flags, balanced=True):
                           1e-9, math.pi / 2 - 1e-9, xtol=1e-15)
     state[4:] = _transcribed_stator(state[0], *state[2:], p, flags)[2:]
     return state
+
+
+def _implicit_angle_rate(state, p, flags):
+    """d(delta)/dt = -(dP/dx . dx/dt) / (dP/d(delta)) at a full state, both
+    partials by complex step."""
+    h = 1e-30
+    delta, x = state[0], state[2:]
+    xdot = np.array(_transcribed_rhs(state, p)[2:])
+    dP_delta = _transcribed_power(delta + 1j * h, *x, p, flags).imag / h
+    dP_x = _transcribed_power(delta, *(x + 1j * h * xdot), p, flags).imag / h
+    return -dP_x / dP_delta
 
 
 class TestRhs:
@@ -222,7 +236,7 @@ class TestEveryFlagSet:
             d, _ = rhs(state, NOM, flags)
             want = _transcribed_rhs(state, p)
             np.testing.assert_allclose(d, [want[STATE_NAMES.index(nm)] for nm in names],
-                                       rtol=1e-12, atol=1e-12)
+                                       rtol=1e-12)
         # slaved EMFs follow the stator's closed forms at every output time
         b = _bare(NOM)
         s = traj.at(np.linspace(0.0, 5.0, 11))[0]
@@ -242,22 +256,37 @@ class TestEveryFlagSet:
 
     @pytest.mark.parametrize("flags", [f for f in VALID_FLAGS if f.h_zero], ids=_flags_id)
     def test_angle_rate_is_the_implicit_function_derivative(self, flags):
-        # d(delta)/dt = -(dP/dx . dx/dt) / (dP/d(delta)), both partials by complex step
         p = _at_limits(flags)
         b = generator._bare_arrays(NOM.to_array()[None, :], flags)
         names = ("delta",) + flags.dynamic_states()
-        h = 1e-30
         rng = np.random.default_rng(23)
         for _ in range(10):
             # off the power balance too: the rate formula holds at any angle
             state = _random_state(rng, p, flags, balanced=False)
             y = state[[STATE_NAMES.index(nm) for nm in names]].reshape(-1, 1, 1)
-            rate = generator._rhs_kernel(y, b, flags)[0][0, 0, 0]
-            delta, x = state[0], state[2:]
-            xdot = np.array(_transcribed_rhs(state, p)[2:])
-            dP_delta = _transcribed_power(delta + 1j * h, *x, p, flags).imag / h
-            dP_x = _transcribed_power(delta, *(x + 1j * h * xdot), p, flags).imag / h
-            np.testing.assert_allclose(rate, -dP_x / dP_delta, rtol=1e-10)
+            rate = generator._rates(y, b, flags)[0, 0, 0]
+            np.testing.assert_allclose(rate, _implicit_angle_rate(state, p, flags), rtol=1e-10)
+
+    @pytest.mark.parametrize("flags", VALID_FLAGS, ids=_flags_id)
+    def test_batched_rates_match_transcription_row_by_row(self, flags):
+        # distinct parameter sets and states in one batch, as the solver calls
+        # the rates: each set reads its own slice of the rate tensor
+        rng = np.random.default_rng(29)
+        ps = NOM.to_array() * np.exp(rng.uniform(-0.3, 0.3, (4, len(PARAM_NAMES))))
+        b = generator._bare_arrays(ps, flags)
+        limited = [_at_limits(flags, p) for p in ps]
+        states = [_random_state(rng, p, flags) for p in limited]
+        integrated = [STATE_NAMES.index(nm) for nm in generator._integrated_states(flags)]
+        rates = generator._rates(np.array(states)[:, integrated].T, b, flags)
+        assert rates.shape == (len(integrated), len(ps))
+        dynamic = [STATE_NAMES.index(nm) for nm in flags.dynamic_states()]
+        for j, (state, p) in enumerate(zip(states, limited)):
+            want = np.array(_transcribed_rhs(state, p))[dynamic]
+            np.testing.assert_allclose(rates[len(integrated) - len(dynamic):, j], want,
+                                       rtol=1e-12)
+            if flags.h_zero:
+                np.testing.assert_allclose(rates[0, j], _implicit_angle_rate(state, p, flags),
+                                           rtol=1e-10)
 
 
 class TestIntegrate:
@@ -287,6 +316,13 @@ class TestIntegrate:
         y_tiny = observe(integrate(tiny_d))
         y_zero = observe(integrate(NOM, LimitFlags(d_zero=True)))
         assert np.abs(y_tiny - y_zero).max() < 1e-6  # tol 1e-7 x 10
+
+    def test_default_tolerances_are_the_solve_tolerance(self):
+        defaults = [inspect.signature(fn).parameters[name].default
+                    for fn in (integrate, generator.integrate_batch)
+                    for name in ("rtol", "atol")]
+        defaults.append(inspect.signature(run_ensemble).parameters["rtol"].default)
+        assert defaults == [generator.SOLVE_TOL] * 5
 
     def test_negative_param_rejected(self):
         with pytest.raises(DomainError):
