@@ -55,6 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gh_eval(args) -> int:
     model = gh_model_from_json(read_json(args.model))
     _, rows = read_csv(args.inputs)
+    if rows.shape[1] != model.training_inputs.shape[1]:
+        raise DomainError(f"{args.inputs} has {rows.shape[1]} columns; the model takes "
+                          f"{model.training_inputs.shape[1]}")
     pred = gh_predict(model, rows).reshape(rows.shape[0], -1)
     dist = distance_to_training(model, rows)
     names = model.target_names or tuple(f"f{j}" for j in range(pred.shape[1]))

@@ -10,17 +10,17 @@ inertia limit the swing equation becomes the power balance P_g(delta, x) = P_m,
 an index-1 DAE: the angle integrates with its implicit-function rate and is
 projected back onto the balance at the output times.
 
-Under every flag set the stator currents, the slaved EMFs and the EMF rates
-are affine in z = (the integrated states after the angle, v_d, v_q, 1), and
-so is the swing equation but for its -P_g/H term.  The model is therefore
-written once, as coefficient rows over z formed once per parameter block
-(:func:`_coefficients`); the output reconstruction and the power-angle Newton
-evaluate those rows.  P_g = v_d i_d + v_q i_q, and its partials in the angle
-and along the EMF rates, pair v with rows over z.  With v written through
-(sin delta, cos delta), every rate is therefore a quadratic form in
-(sin delta, cos delta, 1) and z, and the right-hand side is one contraction
-with a tensor restated from the rows once per parameter block
-(:func:`_rate_tensor`, :func:`_rates`).
+The model is written once, as one tensor of quadratic forms per parameter
+block (:func:`_model`).  Over z = (the integrated states after the angle,
+sin delta, cos delta, 1), the stator currents, the slaved EMFs and the EMF
+rates are affine, and the bus voltage (v_d, v_q) is linear in sin delta and
+cos delta.  P_g = v_d i_d + v_q i_q, its partial in the angle, every rate
+(the speed's through its -P_g/H) and the numerator and denominator of the
+inertia limit's implicit angle rate are therefore quadratic forms in
+(sin delta, cos delta, 1) and z.  One evaluator (:func:`_quad`) forms z once
+and contracts it with any rows of the tensor: the rates (:func:`_rates`), the
+power-angle Newton, the power balance of :func:`rhs` and the slaved EMFs of
+the output reconstruction.
 
 Five singular/regular limits (damping -> 0, inertia -> 0, the two subtransient
 time constants -> 0, and x_d -> x_q) each remove one parameter.  Each is a
@@ -223,14 +223,16 @@ DEFAULT_GRID = ObservationGrid()
 
 
 # ---------------------------------------------------------------------------
-# the model: affine coefficient rows, formed once per parameter block
+# the model: one tensor of quadratic forms, formed once per parameter block
 # ---------------------------------------------------------------------------
 
-# positions of the model's affine quantities in a coefficient matrix: the currents
-# (i_d, i_q), the slope pair s, the drift pair w, e''_q and e''_d (states or
-# closed forms), then the rates of the integrated states (all of them, or all but
-# the angle's in the inertia limit)
-_SLOPE, _DRIFT, _EQ2, _ED2, _RATES = 2, 4, 6, 7, 8
+# (v_d, v_q) = _BUS @ (sin delta, cos delta): the bus voltage at its angle
+_BUS = V_BUS * np.array([[math.cos(VARTHETA), -math.sin(VARTHETA)],
+                         [math.sin(VARTHETA), math.cos(VARTHETA)]])
+
+# the model tensor's rows are P_g, dP_g/d(delta), e''_q and e''_d (states or
+# closed forms), then from here the rates (:func:`_rates`)
+_RATES = 4
 
 
 def _integrated_states(flags: LimitFlags) -> tuple[str, ...]:
@@ -239,20 +241,27 @@ def _integrated_states(flags: LimitFlags) -> tuple[str, ...]:
     return (("delta",) if flags.h_zero else ()) + flags.dynamic_states()
 
 
-def _coefficients(b: dict, flags: LimitFlags) -> np.ndarray:
-    """Coefficients of the model's affine quantities over z, shape (n, m + 3, R).
+def _model(b: dict, flags: LimitFlags) -> np.ndarray:
+    """The model as one tensor Q of quadratic forms, shape (4 + S, 3, m + 3, n).
 
-    z = (the m integrated states after the angle, v_d, v_q, 1), with the speed
-    entering as its slip omega - omega_0, and ``b`` holds (n, 1) bare-parameter
-    arrays.  Column r holds quantity r's coefficients (positions ``_SLOPE``
-    onwards), so ``z @ coef`` evaluates them all.  The EMF equations are
-    written once; a subtransient limit slaves its EMF by solving its equation's
-    right side = 0 for it and substituting the result everywhere.  The swing
-    equation's rows leave out its one term that is not affine, -P_g/H.  With
-    P_g = v . i and v' = (v_q, -v_d) along the angle, dP_g/d(delta) = v . s with
-    s = di/d(delta) + (-i_q, i_d), and dP_g/dx . dx/dt = v . w with w the current
-    rows applied to the EMF rate rows.  Raises :class:`DomainError` for a zero
-    the model divides by under ``flags``.
+    Over z = (the m integrated states after the angle, sin(delta), cos(delta),
+    1), row r at parameter set j is sum_ik z[m + i] z[k] Q[r, i, k, j]
+    (:func:`_quad`): block i = 0, 1, 2 holds the row's part over
+    sin(delta) z, cos(delta) z and z.  ``b`` holds (n, 1) bare-parameter
+    arrays.  The rows are P_g, dP_g/d(delta), e''_q and e''_d, then the S
+    rates.
+
+    The stator currents i, the EMFs and the EMF rates are rows over z, with
+    the bus voltage v = _BUS @ (sin(delta), cos(delta)) as basis rows.  The
+    EMF equations are written once; a subtransient limit slaves its EMF by
+    solving its equation's right side = 0 for it and substituting the result
+    everywhere.  P_g = v . i, and as d/d(delta) takes sin to cos and cos to
+    -sin, dP_g/d(delta) = v . s with s = di/d(delta) + (-i_q, i_d).  The swing
+    rates are rows over the slip omega - omega_0 but for the speed's -P_g/H.
+    In the inertia limit S is the number of integrated states plus one: rates
+    0 and 1 are -v . w and v . s, with w = di/dx . dx/dt along the EMF rates,
+    whose ratio is the angle's rate, then the EMF rates.  Raises
+    :class:`DomainError` for a zero the model divides by under ``flags``.
     """
     divisors = {"x_d2": "xdpp", "T_d01": "T'_d0 = Tdpp + dTd", "T_q01": "T'_q0 = Tqpp + dTq",
                 "H": "H", "T_d02": "Tdpp", "T_q02": "Tqpp"}
@@ -260,12 +269,13 @@ def _coefficients(b: dict, flags: LimitFlags) -> np.ndarray:
     for key, name in divisors.items():
         if not unused.get(key) and np.any(b[key] == 0):
             raise DomainError(f"{name} = 0 is a denominator of the model under these limits")
-    basis = STATE_NAMES[1:] + ("v_d", "v_q", "1")
+    basis = STATE_NAMES[1:] + ("sin", "cos", "1")
     u = dict(zip(basis, np.eye(len(basis))))
     col = basis.index
+    v_d, v_q = _BUS @ np.stack([u["sin"], u["cos"]])
     # the stator algebra: the standard two-axis currents
-    i_d = (u["eq2"] - u["v_q"]) / b["x_d2"]
-    i_q = (u["v_d"] - u["ed2"]) / b["x_q2"]
+    i_d = (u["eq2"] - v_q) / b["x_d2"]
+    i_q = (v_d - u["ed2"]) / b["x_q2"]
     # the EMF equations, as (time constant, right side)
     eqs = {"eq1": (b["T_d01"], -u["eq1"] - (b["x_d"] - b["x_d1"]) * i_d + V_F0 * u["1"]),
            "ed1": (b["T_q01"], -u["ed1"] + (b["x_q"] - b["x_q1"]) * i_q),
@@ -282,23 +292,35 @@ def _coefficients(b: dict, flags: LimitFlags) -> np.ndarray:
             rows += rows[:, :, col(nm), None] * (-f / f[:, col(nm), None])[:, None, :]
     emfs = [nm for nm in names if nm in eqs]
     rates = [rows[:, side[nm]] / eqs[nm][0] for nm in emfs]
-    # s = di/d(delta) + (-i_q, i_d) and w = di/dx . dx/dt
-    slope = (rows[:, :2, col("v_d"), None] * u["v_q"] - rows[:, :2, col("v_q"), None] * u["v_d"]
-             + rows[:, 1::-1] * np.array([[-1.0], [1.0]]))
-    drift = sum(rows[:, :2, col(nm), None] * rate[:, None] for nm, rate in zip(emfs, rates))
+    i = rows[:, :2]
+    slope = (i[..., col("sin"), None] * u["cos"] - i[..., col("cos"), None] * u["sin"]
+             + i[:, ::-1] * np.array([[-1.0], [1.0]]))
     if not flags.h_zero:
-        # the swing equation, but for its -P_g/H term
-        rates[:0] = [OMEGA_B * u["omega"], (P_M * u["1"] - b["D"] * u["omega"]) / b["H"]]
-    coef = np.concatenate([rows[:, :2], slope, drift, rows[:, 2:4],
-                           np.stack(np.broadcast_arrays(*rates), axis=1)], axis=1)
-    keep = [col(nm) for nm in names + ("v_d", "v_q", "1")]
-    return np.ascontiguousarray(coef[..., keep].transpose(0, 2, 1))
+        slip = u["omega"] - OMEGA_0 * u["1"]
+        rates[:0] = [OMEGA_B * slip, (P_M * u["1"] - b["D"] * slip) / b["H"]]
+    keep = [col(nm) for nm in names + ("sin", "cos", "1")]
+
+    def v_dot(pair):  # v . (two rows over z): the sin(delta) and cos(delta) blocks
+        return np.einsum("ji,njk->ikn", _BUS, pair[..., keep])
+
+    lead = _RATES + 2 * flags.h_zero
+    Q = np.zeros((lead + len(rates), 3, len(keep), len(i)))
+    Q[0, :2] = v_dot(i)
+    Q[1, :2] = v_dot(slope)
+    Q[2:4, 2] = rows[:, 2:4, keep].transpose(1, 2, 0)
+    Q[lead:, 2] = np.stack(np.broadcast_arrays(*rates), axis=1)[..., keep].transpose(1, 2, 0)
+    if flags.h_zero:
+        drift = sum(i[..., col(nm), None] * rate[:, None] for nm, rate in zip(emfs, rates))
+        Q[_RATES, :2] = -v_dot(drift)
+        Q[_RATES + 1] = Q[1]
+    else:
+        Q[_RATES + 1, :2] = -Q[0, :2] / b["H"][:, 0]
+    return Q
 
 
 def _bare_arrays(ps: np.ndarray, flags: LimitFlags) -> dict:
     """Bare parameters of an (n_sets, 11) block as (n_sets, 1) arrays, with the
-    limits substituted, under ``"coef"`` their :func:`_coefficients` and under
-    ``"rates"`` their :func:`_rate_tensor`.
+    limits substituted: the input of :func:`_model`.
 
     Flagged limits override the supplied values: D is zero under d_zero and x_d
     is pinned to x_q under dx1_zero.  H drops out under h_zero.  Tdpp and Tqpp
@@ -306,93 +328,37 @@ def _bare_arrays(ps: np.ndarray, flags: LimitFlags) -> dict:
     out of the transient time constants T'_d0 = Tdpp + dTd and T'_q0 = Tqpp + dTq.
     """
     H, D, dx1, *rest = ps.T[..., None]
-    b = _bare(H, np.zeros_like(D) if flags.d_zero else D,
-              np.zeros_like(dx1) if flags.dx1_zero else dx1, *rest)
-    b["coef"] = _coefficients(b, flags)
-    b["rates"] = _rate_tensor(b, flags)
-    return b
+    return _bare(H, np.zeros_like(D) if flags.d_zero else D,
+                 np.zeros_like(dx1) if flags.dx1_zero else dx1, *rest)
 
 
-def _evaluate(coef: np.ndarray, rest: np.ndarray, delta: np.ndarray):
-    """z and the affine quantities z @ coef at points of ``delta``'s shape (n, T).
+def _quad(delta: np.ndarray, rest: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Rows of :func:`_model`'s tensor at points of ``delta``'s shape (n, ...).
 
-    ``rest`` holds the integrated states after the angle, (m, n, T); z and the
-    second result are component first too, (m + 3, n, T) and (columns of
-    ``coef``, n, T), and ``coef`` may hold only some of its columns, none of
-    them a rate.  The speed, which the rates alone read, enters z as it is.
+    ``rest`` holds the integrated states after the angle, (m, n, ...), and ``Q``
+    any of the tensor's rows; they come back row first, (rows, n, ...).
+    z = (rest, sin(delta), cos(delta), 1) is formed once and contracted with
+    the tensor, its last three entries and itself.
     """
     m = len(rest)
     z = np.empty((m + 3,) + delta.shape)
     z[:m] = rest
-    angle = delta - VARTHETA
-    np.multiply(V_BUS, np.sin(angle), out=z[m])
-    np.multiply(V_BUS, np.cos(angle), out=z[m + 1])
+    np.sin(delta, out=z[m])
+    np.cos(delta, out=z[m + 1])
     z[m + 2] = 1.0
-    return z, (z.transpose(1, 2, 0) @ coef).transpose(2, 0, 1)
+    return np.einsum("in...,kn...,rikn->rn...", z[m:], z, Q)
 
 
-def _power(z: np.ndarray, val: np.ndarray, j: int) -> np.ndarray:
-    """v . (val[j], val[j + 1]): P_g at j = 0 and dP_g/d(delta) at ``_SLOPE``."""
-    return z[-3] * val[j] + z[-2] * val[j + 1]
-
-
-# (v_d, v_q) = _BUS @ (sin delta, cos delta): the bus voltage at its angle
-_BUS = V_BUS * np.array([[math.cos(VARTHETA), -math.sin(VARTHETA)],
-                         [math.sin(VARTHETA), math.cos(VARTHETA)]])
-
-
-def _rate_tensor(b: dict, flags: LimitFlags) -> np.ndarray:
-    """The rates of the integrated states as one tensor C, shape (S, 3, m + 3, n).
-
-    Over z = (the m integrated states after the angle, sin(delta), cos(delta),
-    1), rate s at set j is the quadratic form sum_ik z[m + i] z[k] C[s, i, k, j]
-    (:func:`_rates`): block i = 0, 1, 2 is the rate's part over sin(delta) z,
-    cos(delta) z and z.  The rows are :func:`_coefficients`' restated over
-    this z: the bus voltage, v = _BUS @ (sin, cos), goes into the v_d and v_q
-    rows and the reference speed omega_0 into the constant column.  A product
-    v . (p, p') of two rows over z then has the blocks _BUS^T (p, p'), which
-    gives the swing rate its -P_g/H = -v . i / H.  In the inertia limit S is
-    the number of integrated states plus one: rates 0 and 1 are -v . w and
-    v . s, whose ratio is the angle's rate, then the EMF rates.
-    """
-    n, q, _ = b["coef"].shape
-    lift = np.eye(q)  # _coefficients' z = lift @ this z
-    lift[q - 3:q - 1, q - 3:q - 1] = _BUS
-    if not flags.h_zero:
-        lift[0, -1] = -OMEGA_0  # the slip omega - omega_0
-    c = np.einsum("ji,njr->rin", lift, b["coef"])
-
-    def product(j):  # v . (row j, row j + 1), on the sin(delta) and cos(delta) blocks
-        return np.einsum("ji,jkn->ikn", _BUS, c[j:j + 2])
-
-    lead = 2 if flags.h_zero else 0
-    C = np.zeros((lead + len(c) - _RATES, 3, q, n))
-    C[lead:, 2] = c[_RATES:]
-    if flags.h_zero:
-        C[0, :2] = -product(_DRIFT)
-        C[1, :2] = product(_SLOPE)
-    else:
-        C[1, :2] = -product(0) / b["H"][:, 0]
-    return C
-
-
-def _rates(y: np.ndarray, b: dict, flags: LimitFlags) -> np.ndarray:
+def _rates(y: np.ndarray, Q: np.ndarray, flags: LimitFlags) -> np.ndarray:
     """Rates of the integrated states at points (n, ...); y is (len(integrated), n, ...).
 
     y holds the states of :func:`_integrated_states`, component first, and the
-    rates come back shaped like it: one contraction of ``b["rates"]``
-    (:func:`_rate_tensor`) with z = (y[1:], sin(y[0]), cos(y[0]), 1) twice.
-    In the inertia limit the angle's rate is the implicit-function derivative
-    of P_g(delta, x) = P_m, d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta)),
-    one division more.
+    rates come back shaped like it: the rate rows of the model tensor ``Q``
+    (:func:`_quad`).  In the inertia limit the angle's rate is the
+    implicit-function derivative of P_g(delta, x) = P_m,
+    d(delta)/dt = -(dP_g/dx . dx/dt) / (dP_g/d(delta)), one division more.
     """
-    m = len(y) - 1
-    z = np.empty((m + 3,) + y.shape[1:])
-    z[:m] = y[1:]
-    np.sin(y[0], out=z[m])
-    np.cos(y[0], out=z[m + 1])
-    z[m + 2] = 1.0
-    r = np.einsum("in...,kn...,sikn->sn...", z[m:], z, b["rates"])
+    r = _quad(y[0], y[1:], Q[_RATES:])
     if flags.h_zero:
         np.divide(r[0], r[1], out=r[1])
         return r[1:]
@@ -405,24 +371,25 @@ _ANGLE_TOL = 1e-12
 _ANGLE_MAX_ITER = 60
 
 
-def solve_power_angle(rest: np.ndarray, b, guess=None) -> np.ndarray:
+def solve_power_angle(rest: np.ndarray, Q: np.ndarray, guess=None) -> np.ndarray:
     """Rotor angle(s) satisfying the power balance P_g(delta) = P_m.
 
-    Safeguarded Newton, its slope from the coefficient rows in ``b``, with a
-    bisection fallback on the operating branch delta in (vartheta,
-    vartheta + pi/2), from ``guess``.  ``rest`` holds the integrated states
-    after the angle (:func:`_integrated_states`), (m, n, T) with n the
-    parameter sets of ``b``; the angles come back as one (n, T) array.
+    Safeguarded Newton on the P_g and dP_g/d(delta) rows of the model tensor
+    ``Q`` (:func:`_model`), with a bisection fallback on the operating branch
+    delta in (vartheta, vartheta + pi/2), from ``guess``.  ``rest`` holds the
+    integrated states after the angle (:func:`_integrated_states`), (m, n, T)
+    with n the parameter sets of ``Q``; the angles come back as one (n, T)
+    array.
     """
-    coef = b["coef"][..., :_DRIFT]  # the currents and the slope pair
+    power = Q[:2]  # P_g and its slope in the angle
     shape = rest.shape[1:]
     bracket = np.empty((2,) + shape)
     bracket[0] = VARTHETA + 1e-12
     bracket[1] = VARTHETA + math.pi / 2 - 1e-12
 
     def residual(delta):  # P_g - P_m and its slope in delta
-        z, val = _evaluate(coef, rest, delta)
-        return _power(z, val, 0) - P_M, _power(z, val, _SLOPE)
+        p_g, slope = _quad(delta, rest, power)
+        return p_g - P_M, slope
 
     r_lo, r_hi = residual(bracket[0])[0], residual(bracket[1])[0]
     if (r_lo * r_hi > 0).any():
@@ -461,15 +428,14 @@ def rhs(s: Sequence[float], p: IndependentParams, flags: LimitFlags = LimitFlags
     balance.  The residual dict reports the power-balance defect ``P_m - P_g``
     (at the solved angle once ``h_zero`` is set).
     """
-    b = _bare_arrays(p.to_array()[None, :], flags)
+    Q = _model(_bare_arrays(p.to_array()[None, :], flags), flags)
     arr = np.asarray(s, dtype=float)
     y = arr[[STATE_NAMES.index(nm) for nm in _integrated_states(flags)]].reshape(-1, 1, 1)
     if flags.h_zero:
-        y[0] = solve_power_angle(y[1:], b, guess=y[0] if arr[0] > 0 else None)
-    rates = _rates(y, b, flags)
+        y[0] = solve_power_angle(y[1:], Q, guess=y[0] if arr[0] > 0 else None)
+    rates = _rates(y, Q, flags)
     d = rates[1:, 0, 0] if flags.h_zero else rates[:, 0, 0]
-    z, val = _evaluate(b["coef"][..., :2], y[1:], y[0])
-    return d, {"power_balance": float(P_M - _power(z, val, 0)[0, 0])}
+    return d, {"power_balance": float(P_M - _quad(y[0], y[1:], Q[:1])[0, 0, 0])}
 
 
 @dataclass(frozen=True)
@@ -517,12 +483,14 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     integrated with the EMFs; the returned trajectory projects it back onto
     the power balance, with one more solve per evaluation.
 
-    The model's rate tensor is formed once per call, so each right-hand side
-    evaluation is sin and cos of the angles, forming
+    The model tensor (:func:`_model`) is formed once per call, so each
+    right-hand side evaluation is sin and cos of the angles, forming
     z = (states after the angle, sin(delta), cos(delta), 1), and one
-    contraction of the tensor with z and its last three entries, the rates
-    being quadratic in z; the inertia limit's angle rate takes one division
-    more (:func:`_rates`).
+    contraction of the tensor's rate rows with z and its last three entries,
+    the rates being quadratic in z; the inertia limit's angle rate takes one
+    division more (:func:`_rates`).  The output reconstruction reads the same
+    tensor: its P_g and slope rows for the angle's projection, its e''_q and
+    e''_d rows for the slaved EMFs.
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if not np.all(np.isfinite(params)) or np.any(params < 0):
@@ -536,21 +504,21 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
     check_rtol(rtol, "rtol")
     if not (math.isfinite(atol) and atol > 0):
         raise DomainError(f"atol must be finite and positive, got {atol!r}")
-    b = _bare_arrays(params, flags)
+    Q = _model(_bare_arrays(params, flags), flags)
     integrated = [STATE_NAMES.index(nm) for nm in _integrated_states(flags)]
 
     def columns(y):
         """All six states, (6, n, T), from the (k, n, T) integrated ones; slaved
-        EMFs from their coefficient rows.  In the inertia limit the angle is
-        projected onto P_g = P_m (warm-started from the integrated one) and
-        ``omega`` holds its rate."""
+        EMFs from their rows of the model tensor.  In the inertia limit the
+        angle is projected onto P_g = P_m (warm-started from the integrated
+        one) and ``omega`` holds its rate."""
         x = np.empty((len(STATE_NAMES),) + y.shape[1:])
         if flags.h_zero:
-            y = np.concatenate([solve_power_angle(y[1:], b, guess=y[0])[None], y[1:]])
-            x[1] = _rates(y, b, flags)[0]
+            y = np.concatenate([solve_power_angle(y[1:], Q, guess=y[0])[None], y[1:]])
+            x[1] = _rates(y, Q, flags)[0]
         x[integrated] = y
         if flags.tdpp_zero or flags.tqpp_zero:
-            val = _evaluate(b["coef"][..., _EQ2:_ED2 + 1], y[1:], y[0])[1]
+            val = _quad(y[0], y[1:], Q[2:4])
             if flags.tdpp_zero:
                 x[4] = val[0]
             if flags.tqpp_zero:
@@ -565,7 +533,7 @@ def integrate_batch(params: np.ndarray, flags: LimitFlags = LimitFlags(),
         s0[0], ddelta0 = start[0, :, 0], start[1]
 
     def f(y):
-        return _rates(y.reshape(-1, n), b, flags).ravel()
+        return _rates(y.reshape(-1, n), Q, flags).ravel()
 
     if t_end > t_start:
         times, dense = solve(f, t_start, s0.ravel(), t_end, rtol=rtol, atol=atol,

@@ -152,10 +152,15 @@ def write_csv(path: str, header: list[str], rows: np.ndarray, fmt: str | None = 
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return header, data
+    """Header and (rows, columns) values of a CSV file; a file that does not
+    parse, such as one with a cell that is not a number, raises
+    :class:`DomainError` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+        return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"{path} is not a CSV of numbers: {exc}") from None
 
 
 def write_json(path: str, obj) -> None:
@@ -165,8 +170,13 @@ def write_json(path: str, obj) -> None:
 
 
 def read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The value a JSON file holds; a file that does not parse raises
+    :class:`DomainError` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
+        raise DomainError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _sha256(path: str) -> str:
@@ -398,16 +408,30 @@ def _gh_model_json(model, selected, train_idx, test_idx) -> dict:
 
 
 def gh_model_from_json(obj) -> GHModel:
-    """The model of :func:`_gh_model_json`; keys it does not name are ignored,
-    and one it names that is missing raises :class:`DomainError`."""
+    """The model of :func:`_gh_model_json`; keys it does not name are ignored.
+
+    A key it names that is missing or holds no number or array, training
+    inputs and weights that are not (N, d) and (N, targets) arrays, and an
+    ``epsilon_star`` that is not finite and positive raise :class:`DomainError`.
+    """
     try:
-        return GHModel(np.asarray(obj["training_inputs"], dtype=float),
-                       float(obj["epsilon_star"]), np.asarray(obj["eigenvalues"], dtype=float),
-                       np.asarray(obj["weights"], dtype=float),
-                       target_names=tuple(obj["target_names"]) or None,
-                       target_ndim=int(obj["target_ndim"]))
+        model = GHModel(np.asarray(obj["training_inputs"], dtype=float),
+                        float(obj["epsilon_star"]), np.asarray(obj["eigenvalues"], dtype=float),
+                        np.asarray(obj["weights"], dtype=float),
+                        target_names=tuple(obj["target_names"]) or None,
+                        target_ndim=int(obj["target_ndim"]))
     except KeyError as exc:
         raise DomainError(f"GH model file has no {exc} key") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"GH model file has a malformed value: {exc}") from None
+    X, w = model.training_inputs, model.weights
+    if X.ndim != 2 or w.ndim != 2 or len(w) != len(X):
+        raise DomainError(f"GH model file's training_inputs {X.shape} and weights {w.shape} "
+                          "are not (N, d) and (N, targets) arrays")
+    if not (np.isfinite(model.epsilon_star) and model.epsilon_star > 0):
+        raise DomainError(f"GH model file's epsilon_star must be finite and positive, "
+                          f"got {model.epsilon_star!r}")
+    return model
 
 
 def full_vs_reduced(cfg: Config, times) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:

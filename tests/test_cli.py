@@ -511,6 +511,44 @@ class TestCliStages:
                 main(argv + extra)
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("case, named", [
+        ("weights_rows", "weights"),
+        ("epsilon_zero", "epsilon_star"),
+        ("non_numeric_cell", "inputs.csv"),
+        ("inputs_columns", "inputs.csv"),
+        ("truncated_json", "model.json"),
+    ])
+    def test_malformed_gh_eval_file_exits_2(self, tmp_path, capsys, case, named):
+        # a model or inputs file that does not parse or whose arrays do not fit
+        # together is a precondition violation: one line naming the fault
+        from genident.pipeline import write_json
+        obj = {"training_inputs": np.linspace(0, 1, 10).reshape(5, 2).tolist(),
+               "epsilon_star": 0.5, "eigenvalues": [1.0], "weights": [[1.0]] * 5,
+               "target_names": ["f"], "target_ndim": 1}
+        inputs = "x1,x2\n0.1,0.2\n0.3,0.4\n"
+        model_path, inputs_path = tmp_path / "model.json", tmp_path / "inputs.csv"
+        argv = ["gh-eval", "--model", str(model_path), "--inputs", str(inputs_path),
+                "--out", str(tmp_path / "run")]
+        write_json(str(model_path), obj)
+        inputs_path.write_text(inputs)
+        assert main(argv) == 0  # the files as written are well formed
+        if case == "weights_rows":
+            obj["weights"] = obj["weights"][:-1]
+        elif case == "epsilon_zero":
+            obj["epsilon_star"] = 0.0
+        elif case == "non_numeric_cell":
+            inputs += "0.5,abc\n"
+        elif case == "inputs_columns":
+            inputs = "x1\n0.1\n"
+        write_json(str(model_path), obj)
+        if case == "truncated_json":
+            model_path.write_text(model_path.read_text()[:40])
+        inputs_path.write_text(inputs)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err and "Traceback" not in err
+
     def test_mbam_forwards_the_geodesic_keys(self, tmp_path, monkeypatch):
         from genident import geodesics
         calls = []

@@ -257,28 +257,32 @@ class TestEveryFlagSet:
     @pytest.mark.parametrize("flags", [f for f in VALID_FLAGS if f.h_zero], ids=_flags_id)
     def test_angle_rate_is_the_implicit_function_derivative(self, flags):
         p = _at_limits(flags)
-        b = generator._bare_arrays(NOM.to_array()[None, :], flags)
+        Q = generator._model(generator._bare_arrays(NOM.to_array()[None, :], flags), flags)
         names = ("delta",) + flags.dynamic_states()
         rng = np.random.default_rng(23)
         for _ in range(10):
             # off the power balance too: the rate formula holds at any angle
             state = _random_state(rng, p, flags, balanced=False)
             y = state[[STATE_NAMES.index(nm) for nm in names]].reshape(-1, 1, 1)
-            rate = generator._rates(y, b, flags)[0, 0, 0]
+            rate = generator._rates(y, Q, flags)[0, 0, 0]
             np.testing.assert_allclose(rate, _implicit_angle_rate(state, p, flags), rtol=1e-10)
 
     @pytest.mark.parametrize("flags", VALID_FLAGS, ids=_flags_id)
     def test_batched_rates_match_transcription_row_by_row(self, flags):
         # distinct parameter sets and states in one batch, as the solver calls
-        # the rates: each set reads its own slice of the rate tensor
+        # the model: each set reads its own slice of the model tensor
         rng = np.random.default_rng(29)
         ps = NOM.to_array() * np.exp(rng.uniform(-0.3, 0.3, (4, len(PARAM_NAMES))))
-        b = generator._bare_arrays(ps, flags)
+        Q = generator._model(generator._bare_arrays(ps, flags), flags)
         limited = [_at_limits(flags, p) for p in ps]
-        states = [_random_state(rng, p, flags) for p in limited]
+        # off the power balance, so that P_g is not P_m under the inertia limit
+        states = np.array([_random_state(rng, p, flags, balanced=False) for p in limited])
         integrated = [STATE_NAMES.index(nm) for nm in generator._integrated_states(flags)]
-        rates = generator._rates(np.array(states)[:, integrated].T, b, flags)
+        y = states[:, integrated].T
+        rates = generator._rates(y, Q, flags)
         assert rates.shape == (len(integrated), len(ps))
+        # P_g, dP_g/d(delta), e''_q and e''_d: the rows ahead of the rates
+        rows = generator._quad(states[:, 0], y[1:], Q[:generator._RATES])
         dynamic = [STATE_NAMES.index(nm) for nm in flags.dynamic_states()]
         for j, (state, p) in enumerate(zip(states, limited)):
             want = np.array(_transcribed_rhs(state, p))[dynamic]
@@ -287,6 +291,28 @@ class TestEveryFlagSet:
             if flags.h_zero:
                 np.testing.assert_allclose(rates[0, j], _implicit_angle_rate(state, p, flags),
                                            rtol=1e-10)
+            delta, x = state[0], state[2:]
+            np.testing.assert_allclose(rows[0, j], _transcribed_power(delta, *x, p, flags),
+                                       rtol=1e-12)
+            h = 1e-30
+            np.testing.assert_allclose(
+                rows[1, j], _transcribed_power(delta + 1j * h, *x, p, flags).imag / h,
+                rtol=1e-10)
+            np.testing.assert_allclose(rows[2:, j], _transcribed_stator(delta, *x, p, flags)[2:],
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("flags", [f for f in VALID_FLAGS if f.h_zero], ids=_flags_id)
+    def test_power_angle_newton_converges_in_a_few_steps(self, flags, monkeypatch):
+        # Newton on the tensor's slope row converges quadratically; with a wrong
+        # slope the bracket's bisection needs some 40 steps
+        monkeypatch.setattr(generator, "_ANGLE_MAX_ITER", 12)
+        p = _at_limits(flags)
+        Q = generator._model(generator._bare_arrays(p[None, :], flags), flags)
+        rng = np.random.default_rng(31)
+        states = np.array([_random_state(rng, p, flags) for _ in range(10)])
+        rest = states[:, [STATE_NAMES.index(nm) for nm in flags.dynamic_states()]].T
+        delta = generator.solve_power_angle(rest[:, None], Q)
+        np.testing.assert_allclose(delta[0], states[:, 0], rtol=1e-10)
 
 
 class TestIntegrate:
